@@ -5,12 +5,16 @@
 //!
 //! This is the layer above every earlier experiment family: PR 4's
 //! switch trees are the per-host topology, PR 6's continuous-batching
-//! engine serves each host's shard, and the host shards themselves run
-//! in `accesys-fleet-worker` OS processes pooled across sweep points
-//! (`--fleet-workers`). The determinism contract stacks: the merged
-//! fleet report is byte-identical at any `--jobs`, any
+//! engine serves each host's shard. In-process (`--fleet-workers 0`,
+//! what `accesys run` and the benchmark use), every (point, host) shard
+//! of the sweep is one entry of a flat list that the sweep's `--jobs`
+//! threads work through together, with no lock and no nested pool; each
+//! point's shards are then merged in host order. With `--fleet-workers
+//! N`, points instead take turns on N `accesys-fleet-worker` OS
+//! processes pooled across the sweep. The determinism contract stacks:
+//! the merged fleet report is byte-identical at any `--jobs`, any
 //! `--kernel-threads`, and any `--fleet-workers` count — CI pins the
-//! 1-vs-4-process comparison with `cmp`.
+//! 1-vs-4-process and the in-process 1-vs-4-job comparisons with `cmp`.
 //!
 //! The scenario (testbed, request, traffic, policy, link model, sweep
 //! axes) lowers from the committed `specs/fleet_1k.spec`; its top grid
@@ -21,12 +25,15 @@
 use crate::cli::Cli;
 use crate::topo::parse_shape;
 use crate::{specs, Scale};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::pool::map_ordered;
+use accesys_exp::{cross2, run_experiment, Experiment, Jobs, SweepResult};
 use accesys_fleet::{
-    FleetPolicy, FleetPool, FleetReport, FleetSpec, FleetTraffic, HostSystem, NetLink, PolicyKind,
+    merge, run_host, FleetError, FleetPolicy, FleetPool, FleetReport, FleetSpec, FleetTraffic,
+    HostSystem, NetLink, PolicyKind,
 };
 use accesys_spec::FleetScenario;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// The committed scenario this sweep lowers from.
 pub fn scenario() -> &'static FleetScenario {
@@ -147,51 +154,134 @@ fn row_of(hosts: u32, shape: &str, report: &FleetReport) -> FleetRow {
     }
 }
 
-/// Measure one (hosts, shape) point on a shared pool.
-pub fn measure_for(
-    sc: &FleetScenario,
-    pool: &Mutex<FleetPool>,
-    hosts: u32,
-    shape: &str,
-    scale: Scale,
-) -> FleetRow {
-    let spec = lower(sc, hosts, shape, scale);
-    let report = pool
-        .lock()
-        .expect("fleet pool lock")
-        .run(&spec)
-        .unwrap_or_else(|e| panic!("fleet run ({hosts} hosts, shape {shape}): {e}"));
-    row_of(hosts, shape, &report)
+fn failed(hosts: u32, shape: &str, e: FleetError) -> ! {
+    panic!("fleet run ({hosts} hosts, shape {shape}): {e}")
 }
 
-/// The sweep as a declarative experiment: hosts × shapes, row-major,
-/// every point sharing `pool`'s worker processes.
-pub fn experiment_for(
-    sc: &FleetScenario,
+/// The fleet sweep: hosts × shapes, row-major. Its [`Experiment::run`]
+/// schedules host shards, not points: in-process, every (point, host)
+/// shard of the sweep goes on the `--jobs` threads as one flat list;
+/// with worker processes, points share the pool one at a time.
+pub struct FleetSweep {
+    sc: FleetScenario,
     scale: Scale,
-    pool: Arc<Mutex<FleetPool>>,
-) -> impl Experiment<Point = (u32, String), Out = FleetRow> {
-    let sc = sc.clone();
-    Grid::cross2(sc.name.clone(), sc.hosts.clone(), sc.shapes.clone())
-        .sweep(move |(hosts, shape)| measure_for(&sc, &pool, *hosts, shape, scale))
+    /// The worker processes every point shares; `None` runs the host
+    /// shards in-process.
+    workers: Option<Mutex<FleetPool>>,
+}
+
+impl FleetSweep {
+    /// Worker processes `(requested, spawned over the sweep)`; `(0, 0)`
+    /// in-process.
+    fn workers(&self) -> (u32, u64) {
+        self.workers.as_ref().map_or((0, 0), |pool| {
+            let pool = pool.lock().expect("fleet pool lock");
+            (pool.workers(), pool.spawned())
+        })
+    }
+
+    /// Every (point, host) shard of the sweep on one `jobs` pool, then
+    /// each point's shards merged in host order. A point's shards are
+    /// adjacent in the list and results come back in list order, so no
+    /// lock is held and the schedule never reaches the rows.
+    fn run_in_process(&self, jobs: Jobs) -> SweepResult<(u32, String), FleetRow> {
+        let points = self.points();
+        let start = Instant::now();
+        let specs: Vec<FleetSpec> = points
+            .iter()
+            .map(|(hosts, shape)| {
+                let spec = lower(&self.sc, *hosts, shape, self.scale);
+                spec.validate().unwrap_or_else(|e| failed(*hosts, shape, e));
+                spec
+            })
+            .collect();
+        let shards: Vec<(usize, u32)> = specs
+            .iter()
+            .enumerate()
+            .flat_map(|(point, spec)| (0..spec.hosts).map(move |host| (point, host)))
+            .collect();
+        let mut results = map_ordered(jobs.get(), &shards, |&(point, host)| {
+            run_host(&specs[point], host)
+        })
+        .into_iter();
+        let rows = points
+            .iter()
+            .zip(&specs)
+            .map(|((hosts, shape), spec)| {
+                let report = results
+                    .by_ref()
+                    .take(spec.hosts as usize)
+                    .collect::<Result<Vec<_>, _>>()
+                    .and_then(|shards| merge(spec, shards))
+                    .unwrap_or_else(|e| failed(*hosts, shape, e));
+                row_of(*hosts, shape, &report)
+            })
+            .collect::<Vec<_>>();
+        SweepResult {
+            name: self.sc.name.clone(),
+            jobs: jobs.get().min(shards.len()).max(1),
+            wall: start.elapsed(),
+            points: points.into_iter().zip(rows).collect(),
+        }
+    }
+}
+
+impl Experiment for FleetSweep {
+    type Point = (u32, String);
+    type Out = FleetRow;
+
+    fn name(&self) -> &str {
+        &self.sc.name
+    }
+
+    fn points(&self) -> Vec<(u32, String)> {
+        cross2(self.sc.hosts.clone(), self.sc.shapes.clone())
+    }
+
+    /// One point on its own: through the worker pool, or its hosts one
+    /// after another in-process.
+    fn measure(&self, (hosts, shape): &(u32, String)) -> FleetRow {
+        let spec = lower(&self.sc, *hosts, shape, self.scale);
+        let report = match &self.workers {
+            Some(pool) => pool.lock().expect("fleet pool lock").run(&spec),
+            None => FleetPool::in_process().run(&spec),
+        };
+        row_of(
+            *hosts,
+            shape,
+            &report.unwrap_or_else(|e| failed(*hosts, shape, e)),
+        )
+    }
+
+    fn run(&self, jobs: Jobs) -> SweepResult<(u32, String), FleetRow> {
+        match self.workers {
+            Some(_) => run_experiment(self, jobs),
+            None => self.run_in_process(jobs),
+        }
+    }
+}
+
+/// The sweep of `sc` on `pool`: its worker processes, shared across
+/// points, or the sweep's own threads when it has none.
+pub fn experiment_for(sc: &FleetScenario, scale: Scale, pool: FleetPool) -> FleetSweep {
+    FleetSweep {
+        sc: sc.clone(),
+        scale,
+        workers: (pool.workers() > 0).then(|| Mutex::new(pool)),
+    }
 }
 
 /// The committed sweep on a fresh pool of `workers` processes.
-pub fn experiment(
-    scale: Scale,
-    workers: u32,
-) -> impl Experiment<Point = (u32, String), Out = FleetRow> {
-    experiment_for(scenario(), scale, Arc::new(Mutex::new(pool(workers))))
+pub fn experiment(scale: Scale, workers: u32) -> FleetSweep {
+    experiment_for(scenario(), scale, pool(workers))
 }
 
-/// The sweep of `sc` with every host shard run in-process — no worker
-/// binary needed. Golden tests pin this form; its output is
-/// byte-identical to any worker-process run (the fleet contract).
-pub fn experiment_in_process(
-    sc: &FleetScenario,
-    scale: Scale,
-) -> impl Experiment<Point = (u32, String), Out = FleetRow> {
-    experiment_for(sc, scale, Arc::new(Mutex::new(FleetPool::in_process())))
+/// The sweep of `sc` with every host shard run in-process on the
+/// sweep's `--jobs` threads — no worker binary needed. Golden tests pin
+/// this form; its output is byte-identical to any worker-process run
+/// and at any `--jobs` (the fleet contract).
+pub fn experiment_in_process(sc: &FleetScenario, scale: Scale) -> FleetSweep {
+    experiment_for(sc, scale, FleetPool::in_process())
 }
 
 /// Run the committed sweep in-process (no worker processes).
@@ -201,9 +291,10 @@ pub fn run(scale: Scale) -> Vec<FleetRow> {
 
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value. Worker count: `--fleet-workers` /
-/// `ACCESYS_FLEET_WORKERS`, else the spec's `[fleet] workers`. The
-/// spawn count goes to **stderr**, so stdout stays byte-identical
-/// across worker counts.
+/// `ACCESYS_FLEET_WORKERS`, else the spec's `[fleet] workers`; at 0 the
+/// host shards of every point share the `--jobs` threads as one flat
+/// shard list. The spawn count goes to **stderr**, so stdout stays
+/// byte-identical across worker and job counts.
 pub fn run_cli(cli: &Cli) -> serde::Value {
     run_cli_for(scenario(), cli)
 }
@@ -223,23 +314,15 @@ pub fn run_cli_for(sc: &FleetScenario, cli: &Cli) -> serde::Value {
 }
 
 fn run_cli_with(sc: &FleetScenario, cli: &Cli, workers: u32) -> serde::Value {
-    let shared = Arc::new(Mutex::new(pool(workers)));
-    let value = crate::cli::run_sweep_cli(
-        cli,
-        &experiment_for(sc, cli.scale, Arc::clone(&shared)),
-        |r| {
-            print_for(
-                sc,
-                &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
-            )
-        },
-    );
-    let pool = shared.lock().expect("fleet pool lock");
-    eprintln!(
-        "# fleet workers: {} requested, {} spawned over the sweep",
-        pool.workers(),
-        pool.spawned()
-    );
+    let sweep = experiment_for(sc, cli.scale, pool(workers));
+    let value = crate::cli::run_sweep_cli(cli, &sweep, |r| {
+        print_for(
+            sc,
+            &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
+        )
+    });
+    let (requested, spawned) = sweep.workers();
+    eprintln!("# fleet workers: {requested} requested, {spawned} spawned over the sweep");
     value
 }
 
@@ -328,32 +411,40 @@ mod tests {
     }
 
     #[test]
-    fn the_sweep_is_deterministic_across_jobs_and_covers_the_grid() {
-        let sc = scenario();
-        // One small point per axis keeps this a unit test; the full
-        // grid and the process pool run in CI.
-        let mut small = sc.clone();
-        small.hosts = vec![2];
+    fn the_flat_shard_schedule_is_deterministic_across_jobs() {
+        // 1 + 3 + 5 hosts: at jobs 2 and 4, shards of different points
+        // run side by side and finish out of order. The full grid and
+        // the process pool run in CI.
+        let mut small = scenario().clone();
+        small.hosts = vec![1, 3, 5];
         small.shapes = vec!["2".to_string()];
-        let run = |jobs: Jobs| {
-            experiment_for(
-                &small,
-                Scale::Quick,
-                Arc::new(Mutex::new(FleetPool::in_process())),
-            )
-            .run(jobs)
-            .into_outputs()
-        };
-        let a = run(Jobs::serial());
-        let b = run(Jobs::new(4));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        let (x, y) = (&a[0], &b[0]);
-        assert_eq!(x.offered, y.offered);
-        assert_eq!(x.rounds, y.rounds);
-        assert_eq!(x.p99_ns.to_bits(), y.p99_ns.to_bits());
-        assert_eq!(x.goodput_rps.to_bits(), y.goodput_rps.to_bits());
-        assert!(x.completed > 0, "the demo point must serve something");
+        let run = |jobs: Jobs| experiment_in_process(&small, Scale::Quick).run(jobs);
+        let serial = run(Jobs::serial());
+        let json = serial.to_json().expect("fleet rows serialize");
+        for jobs in [2, 4] {
+            assert_eq!(
+                run(Jobs::new(jobs))
+                    .to_json()
+                    .expect("fleet rows serialize"),
+                json,
+                "jobs={jobs}"
+            );
+        }
+        assert_eq!(serial.points.len(), 3);
+        for ((hosts, shape), row) in &serial.points {
+            let report = FleetPool::in_process()
+                .run(&lower(&small, *hosts, shape, Scale::Quick))
+                .expect("fleet point runs");
+            assert_eq!(
+                serde_json::to_string(row).expect("row serializes"),
+                serde_json::to_string(&row_of(*hosts, shape, &report)).expect("row serializes"),
+                "({hosts} hosts, {shape})"
+            );
+        }
+        assert!(
+            serial.outputs().all(|row| row.completed > 0),
+            "every demo point must serve something"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Set-associative write-back cache with MSHRs and optional coherence.
 
-use accesys_sim::FxHashMap;
 use accesys_sim::{units, Ctx, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, Stats, Tick};
+use accesys_sim::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 
 /// Geometry and timing of a [`Cache`].
@@ -61,15 +61,6 @@ pub enum CoherenceSide {
     Io,
 }
 
-impl CoherenceSide {
-    fn bit(self) -> u8 {
-        match self {
-            CoherenceSide::Cpu => 1,
-            CoherenceSide::Io => 2,
-        }
-    }
-}
-
 /// Coherence-point configuration for an LLC instance.
 #[derive(Copy, Clone, Debug)]
 pub struct CoherentConfig {
@@ -80,12 +71,45 @@ pub struct CoherentConfig {
     pub io_stream_base: u16,
 }
 
+/// One way of a set: the tag with the valid/dirty flags packed into its
+/// two high bits, plus the LRU stamp. A tag is a line address divided by
+/// the line size and the set count, so with lines of 4+ bytes it never
+/// reaches those bits ([`Cache::new`] checks).
 #[derive(Copy, Clone, Debug)]
 struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+    word: u64,
     lru: u64,
+}
+
+// The tag array is a cache's largest allocation (32k ways in a 2 MiB
+// LLC, one per fleet host); keep a way at two words.
+const _: () = assert!(
+    std::mem::size_of::<Line>() == 16,
+    "cache Line grew past 16 bytes"
+);
+
+impl Line {
+    const VALID: u64 = 1 << 63;
+    const DIRTY: u64 = 1 << 62;
+    const TAG: u64 = Line::DIRTY - 1;
+    const EMPTY: Line = Line { word: 0, lru: 0 };
+
+    fn tag(self) -> u64 {
+        self.word & Line::TAG
+    }
+
+    fn valid(self) -> bool {
+        self.word & Line::VALID != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.word & Line::DIRTY != 0
+    }
+
+    /// Valid and tagged `tag` (dirty or not).
+    fn holds(self, tag: u64) -> bool {
+        self.word & !Line::DIRTY == Line::VALID | tag
+    }
 }
 
 #[derive(Copy, Clone, Debug)]
@@ -111,7 +135,8 @@ pub struct Cache {
     name: String,
     cfg: CacheConfig,
     downstream: ModuleId,
-    sets: Vec<Vec<Line>>,
+    /// The tag array, flat: way `w` of set `s` is `lines[s * assoc + w]`.
+    lines: Vec<Line>,
     lru_clock: u64,
     /// line addr -> ops waiting on an in-flight fill.
     mshrs: FxHashMap<u64, Vec<LineOp>>,
@@ -120,7 +145,9 @@ pub struct Cache {
     parents: FxHashMap<u64, Parent>,
     /// Coherence directory (LLC role only).
     coherent: Option<CoherentConfig>,
-    presence: FxHashMap<u64, u8>,
+    /// Lines the CPU side has touched since its last snoop: the only
+    /// lines I/O traffic must probe the CPU cache for.
+    cpu_lines: FxHashSet<u64>,
     probing: FxHashMap<u64, Vec<LineOp>>,
     /// Emptied waiter lists kept for reuse: every miss needs a fresh
     /// `Vec<LineOp>`, and recycling the retired ones keeps the steady
@@ -143,30 +170,23 @@ impl Cache {
     /// Create a cache forwarding misses to `downstream`.
     pub fn new(name: &str, cfg: CacheConfig, downstream: ModuleId) -> Self {
         assert!(cfg.assoc >= 1 && cfg.line_bytes.is_power_of_two());
-        let sets = (0..cfg.num_sets())
-            .map(|_| {
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    cfg.assoc as usize
-                ]
-            })
-            .collect();
+        assert!(
+            u64::MAX / u64::from(cfg.line_bytes) / cfg.num_sets() <= Line::TAG,
+            "tags of {}-byte lines overflow the tag word",
+            cfg.line_bytes
+        );
+        let ways = cfg.num_sets() as usize * cfg.assoc as usize;
         Cache {
             name: name.to_string(),
             cfg,
             downstream,
-            sets,
+            lines: vec![Line::EMPTY; ways],
             lru_clock: 0,
             mshrs: FxHashMap::default(),
             stalled: VecDeque::new(),
             parents: FxHashMap::default(),
             coherent: None,
-            presence: FxHashMap::default(),
+            cpu_lines: FxHashSet::default(),
             probing: FxHashMap::default(),
             spare_waiters: Vec::new(),
             hits: 0,
@@ -236,18 +256,25 @@ impl Cache {
         self.spare_waiters.push(list);
     }
 
-    fn lookup(&mut self, line_addr: u64) -> Option<(usize, usize)> {
-        let set = self.set_index(line_addr);
-        let tag = self.tag_of(line_addr);
-        self.sets[set]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|way| (set, way))
+    /// The ways of set `set`.
+    fn set_ways(&self, set: usize) -> std::ops::Range<usize> {
+        let assoc = self.cfg.assoc as usize;
+        set * assoc..(set + 1) * assoc
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    /// Index into `lines` of the way holding `line_addr`, if any.
+    fn lookup(&self, line_addr: u64) -> Option<usize> {
+        let ways = self.set_ways(self.set_index(line_addr));
+        let tag = self.tag_of(line_addr);
+        self.lines[ways.clone()]
+            .iter()
+            .position(|l| l.holds(tag))
+            .map(|way| ways.start + way)
+    }
+
+    fn touch(&mut self, i: usize) {
         self.lru_clock += 1;
-        self.sets[set][way].lru = self.lru_clock;
+        self.lines[i].lru = self.lru_clock;
     }
 
     /// One line of a parent request finished; respond upstream when all
@@ -279,9 +306,10 @@ impl Cache {
         let set = self.set_index(line_addr);
         let tag = self.tag_of(line_addr);
         // Prefer an invalid way, else the LRU way.
-        let way = {
-            let lines = &self.sets[set];
-            lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
+        let ways = self.set_ways(set);
+        let i = ways.start + {
+            let lines = &self.lines[ways];
+            lines.iter().position(|l| !l.valid()).unwrap_or_else(|| {
                 lines
                     .iter()
                     .enumerate()
@@ -290,13 +318,12 @@ impl Cache {
                     .expect("nonzero associativity")
             })
         };
-        let victim = self.sets[set][way];
-        if victim.valid {
+        let victim = self.lines[i];
+        if victim.valid() {
             self.evictions += 1;
-            if victim.dirty {
+            if victim.dirty() {
                 self.writebacks += 1;
-                let victim_addr = (victim.tag * self.cfg.num_sets()
-                    + self.set_index_from_tagline(set))
+                let victim_addr = (victim.tag() * self.cfg.num_sets() + set as u64)
                     * u64::from(self.cfg.line_bytes);
                 let wb = Packet::request(
                     ctx.alloc_pkt_id(),
@@ -309,17 +336,11 @@ impl Cache {
                 ctx.send(self.downstream, 0, Msg::packet(wb));
             }
         }
-        self.sets[set][way] = Line {
-            tag,
-            valid: true,
-            dirty,
+        self.lines[i] = Line {
+            word: Line::VALID | if dirty { Line::DIRTY } else { 0 } | tag,
             lru: 0,
         };
-        self.touch(set, way);
-    }
-
-    fn set_index_from_tagline(&self, set: usize) -> u64 {
-        set as u64
+        self.touch(i);
     }
 
     /// Process a per-line op that is past coherence probing.
@@ -331,14 +352,14 @@ impl Cache {
     /// hit/miss outcome was already recorded.
     fn access_line_inner(&mut self, op: LineOp, ctx: &mut Ctx, count: bool) {
         self.note_presence(op);
-        if let Some((set, way)) = self.lookup(op.line_addr) {
+        if let Some(i) = self.lookup(op.line_addr) {
             if count {
                 self.hits += 1;
             }
             if op.write {
-                self.sets[set][way].dirty = true;
+                self.lines[i].word |= Line::DIRTY;
             }
-            self.touch(set, way);
+            self.touch(i);
             let at = ctx.now() + units::ns(self.cfg.hit_latency_ns);
             self.complete_line(op.parent, at, ctx);
             return;
@@ -382,20 +403,18 @@ impl Cache {
         );
     }
 
-    /// Track which side holds a line (coherence-point role only).
+    /// Track the lines the CPU side may hold (coherence-point role only).
     fn note_presence(&mut self, op: LineOp) {
-        if self.coherent.is_some() {
-            *self.presence.entry(op.line_addr).or_insert(0) |= op.side.bit();
+        if self.coherent.is_some() && op.side == CoherenceSide::Cpu {
+            self.cpu_lines.insert(op.line_addr);
         }
     }
 
-    /// Route a per-line op through coherence probing if another side may
-    /// hold the line.
+    /// Route a per-line op through coherence probing if the CPU side may
+    /// hold a line I/O traffic touches.
     fn start_line(&mut self, op: LineOp, ctx: &mut Ctx) {
         if let Some(coh) = self.coherent {
-            let bits = self.presence.get(&op.line_addr).copied().unwrap_or(0);
-            let other = bits & !op.side.bit();
-            if other & CoherenceSide::Cpu.bit() != 0 && op.side == CoherenceSide::Io {
+            if op.side == CoherenceSide::Io && self.cpu_lines.contains(&op.line_addr) {
                 // Probe the CPU-side cache before serving I/O traffic.
                 if let Some(waiters) = self.probing.get_mut(&op.line_addr) {
                     waiters.push(op);
@@ -468,9 +487,8 @@ impl Cache {
 
     fn handle_snoop(&mut self, mut pkt: PacketBox, ctx: &mut Ctx) {
         self.snoops_received += 1;
-        if let Some((set, way)) = self.lookup(pkt.addr) {
-            let line = self.sets[set][way];
-            if line.dirty {
+        if let Some(i) = self.lookup(pkt.addr) {
+            if self.lines[i].dirty() {
                 self.writebacks += 1;
                 let wb = Packet::request(
                     ctx.alloc_pkt_id(),
@@ -481,7 +499,7 @@ impl Cache {
                 );
                 ctx.send(self.downstream, 0, Msg::packet(wb));
             }
-            self.sets[set][way].valid = false;
+            self.lines[i].word &= !Line::VALID;
         }
         pkt.make_response();
         if let Some(next) = pkt.route.pop() {
@@ -495,9 +513,7 @@ impl Cache {
 
     fn handle_snoop_ack(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         let line_addr = pkt.addr;
-        if let Some(bits) = self.presence.get_mut(&line_addr) {
-            *bits &= !CoherenceSide::Cpu.bit();
-        }
+        self.cpu_lines.remove(&line_addr);
         if let Some(mut ops) = self.probing.remove(&line_addr) {
             for op in ops.drain(..) {
                 self.access_line(op, ctx);
@@ -752,11 +768,10 @@ mod tests {
         assert_eq!(k.stats().get_or_zero("l1.misses"), 2.0);
     }
 
-    #[test]
-    fn coherence_point_probes_cpu_side_for_io_traffic() {
-        let mut k = Kernel::new();
+    /// Memory, a CPU-side L1, and a coherent LLC whose streams >= 16 are
+    /// I/O-side; returns `(l1, llc)`.
+    fn coherent_llc(k: &mut Kernel) -> (ModuleId, ModuleId) {
         let mem = k.add_module(Box::new(SimpleMemory::new("mem", MEM_CFG)));
-        // Build LLC first so we can hand its id to nothing; order: mem, l1, llc.
         let l1 = k.add_module(Box::new(Cache::new("l1", CacheConfig::l1(64 << 10), mem)));
         let llc = k.add_module(Box::new(
             Cache::new("llc", CacheConfig::llc(2 << 20), mem).with_coherence(CoherentConfig {
@@ -764,32 +779,126 @@ mod tests {
                 io_stream_base: 16,
             }),
         ));
-        // CPU writes a line through the LLC (stream 0): presence[cpu] set.
-        let cpu = k.add_module(Box::new(Script {
-            target: llc,
-            ops: vec![(0x4000, 64, true)],
+        (l1, llc)
+    }
+
+    /// Run `ops` serially from `stream` against `target` to idle.
+    fn drive(
+        k: &mut Kernel,
+        name: &'static str,
+        target: ModuleId,
+        stream: u16,
+        ops: Vec<(u64, u32, bool)>,
+    ) -> ModuleId {
+        let s = k.add_module(Box::new(Script {
+            target,
+            ops,
             next: 0,
-            stream: 0,
+            stream,
             done: vec![],
-            name: "cpu_script",
+            name,
         }));
-        k.schedule(0, cpu, Msg::Timer(0));
+        k.schedule(k.now(), s, Msg::Timer(0));
         k.run_until_idle().unwrap();
+        s
+    }
+
+    #[test]
+    fn coherence_point_probes_cpu_side_for_io_traffic() {
+        let mut k = Kernel::new();
+        let (_, llc) = coherent_llc(&mut k);
+        // CPU writes a line through the LLC (stream 0): it joins the CPU set.
+        drive(&mut k, "cpu_script", llc, 0, vec![(0x4000, 64, true)]);
         // I/O reads the same line (stream 16): LLC must snoop the L1.
-        let io = k.add_module(Box::new(Script {
-            target: llc,
-            ops: vec![(0x4000, 64, false)],
-            next: 0,
-            stream: 16,
-            done: vec![],
-            name: "io_script",
-        }));
-        k.schedule(k.now(), io, Msg::Timer(0));
-        k.run_until_idle().unwrap();
+        let io = drive(&mut k, "io_script", llc, 16, vec![(0x4000, 64, false)]);
         let stats = k.stats();
         assert_eq!(stats.get_or_zero("llc.snoops_sent"), 1.0);
         assert_eq!(stats.get_or_zero("l1.snoops_received"), 1.0);
         assert_eq!(k.module::<Script>(io).unwrap().done.len(), 1);
+    }
+
+    #[test]
+    fn io_only_lines_send_no_snoops() {
+        let mut k = Kernel::new();
+        let (_, llc) = coherent_llc(&mut k);
+        let io = drive(
+            &mut k,
+            "io_script",
+            llc,
+            16,
+            vec![
+                (0x8000, 64, true),
+                (0x8000, 64, false),
+                (0x8000, 256, false),
+            ],
+        );
+        let stats = k.stats();
+        assert_eq!(stats.get_or_zero("llc.snoops_sent"), 0.0);
+        assert_eq!(stats.get_or_zero("l1.snoops_received"), 0.0);
+        assert_eq!(k.module::<Script>(io).unwrap().done.len(), 3);
+    }
+
+    #[test]
+    fn a_cpu_line_is_snooped_once_then_belongs_to_io() {
+        let mut k = Kernel::new();
+        let (_, llc) = coherent_llc(&mut k);
+        drive(&mut k, "cpu_script", llc, 0, vec![(0x4000, 64, true)]);
+        // The first I/O read probes the L1; its ack drops the line from
+        // the CPU set, so the second read goes straight to the LLC.
+        let io = drive(
+            &mut k,
+            "io_script",
+            llc,
+            16,
+            vec![(0x4000, 64, false), (0x4000, 64, false)],
+        );
+        let stats = k.stats();
+        assert_eq!(stats.get_or_zero("llc.snoops_sent"), 1.0);
+        assert_eq!(stats.get_or_zero("l1.snoops_received"), 1.0);
+        assert_eq!(k.module::<Script>(io).unwrap().done.len(), 2);
+    }
+
+    #[test]
+    fn a_snooped_dirty_line_refilled_writes_back_to_its_own_address() {
+        /// Forwards every packet to memory, logging write addresses.
+        struct Tap {
+            mem: ModuleId,
+            writes: Vec<u64>,
+        }
+        impl Module for Tap {
+            fn name(&self) -> &str {
+                "tap"
+            }
+            fn handle(&mut self, msg: Msg, ctx: &mut Ctx) {
+                if let Msg::Packet(p) = msg {
+                    if p.cmd == MemCmd::WriteReq {
+                        self.writes.push(p.addr);
+                    }
+                    ctx.send(self.mem, 0, Msg::Packet(p));
+                }
+            }
+        }
+        let mut k = Kernel::new();
+        let mem = k.add_module(Box::new(SimpleMemory::new("mem", MEM_CFG)));
+        let tap = k.add_module(Box::new(Tap {
+            mem,
+            writes: vec![],
+        }));
+        // 1 KiB, 4-way: 4 sets, so lines 256 bytes apart share a set.
+        let l1 = k.add_module(Box::new(Cache::new("l1", CacheConfig::l1(1 << 10), tap)));
+        let a = 0x1040; // set 1, tag 16
+        drive(&mut k, "dirty", l1, 0, vec![(a, 64, true)]);
+        // Snoop it away (written back, invalidated; no ack route).
+        let probe = Packet::request(9999, MemCmd::SnoopInv, a, 64, k.now());
+        k.schedule(k.now(), l1, Msg::packet(probe));
+        k.run_until_idle().unwrap();
+        // Dirty it again in the freed way, then push it out with four
+        // conflicting reads: the eviction must write back to `a`.
+        let mut ops = vec![(a, 64, true)];
+        ops.extend((1..=4).map(|i| (a + i * 256, 64, false)));
+        drive(&mut k, "refill", l1, 0, ops);
+        assert_eq!(k.module::<Tap>(tap).unwrap().writes, vec![a, a]);
+        assert_eq!(k.stats().get_or_zero("l1.writebacks"), 2.0);
     }
 
     #[test]

@@ -29,10 +29,10 @@ pub struct Cli {
     /// `None` defers to the spec / `ACCESYS_KERNEL_THREADS` / 1. Results
     /// are byte-identical at any value — this only buys wall-clock.
     pub kernel_threads: Option<u32>,
-    /// Fleet worker OS processes (`--fleet-workers`, 0 = in-process);
-    /// `None` defers to the spec / `ACCESYS_FLEET_WORKERS` / in-process.
-    /// Fleet reports are byte-identical at any value — this only buys
-    /// wall-clock on multi-host sweeps.
+    /// Fleet worker OS processes (`--fleet-workers`); 0 runs every host
+    /// shard of the sweep in-process on the `jobs` threads, as one flat
+    /// shard list. `None` defers to the spec / `ACCESYS_FLEET_WORKERS` /
+    /// in-process. Fleet reports are byte-identical at any value.
     pub fleet_workers: Option<u32>,
 }
 
@@ -205,8 +205,10 @@ pub fn usage(bin: &str) -> String {
          \x20                byte-identical at any value)\n\
          --fleet-workers N\n\
          \x20                worker OS processes for fleet scenarios\n\
-         \x20                (0 = in-process; default: spec [fleet] workers,\n\
-         \x20                else ACCESYS_FLEET_WORKERS; results are\n\
+         \x20                (0 = in-process: every host shard of the sweep\n\
+         \x20                shares the --jobs threads as one flat list;\n\
+         \x20                default: spec [fleet] workers, else\n\
+         \x20                ACCESYS_FLEET_WORKERS; results are\n\
          \x20                byte-identical at any value)\n\
          --help, -h      show this help"
     )

@@ -2,7 +2,8 @@
 //!
 //! The fleet layer: simulate a cluster of 1000+ accelerators by
 //! sharding a fleet spec into per-host switch-tree shards and running
-//! each shard in its own worker OS process.
+//! each shard either in a pooled worker OS process or, in-process, as
+//! one task of the sweep's own thread pool.
 //!
 //! A single process caps out at [`accesys::addrmap::MAX_ACCELS`]
 //! endpoints (the per-host BAR carving), so datacenter-scale questions

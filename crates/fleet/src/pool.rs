@@ -120,6 +120,9 @@ impl FleetPool {
 
     /// Simulate the whole fleet: every host shard once, merged in host
     /// order. Byte-identical output at any worker count, including 0.
+    /// At 0 the hosts run one after another on the calling thread; an
+    /// in-process sweep instead puts the [`run_host`] shards of all its
+    /// points on its own thread pool and [`merge`]s each point.
     ///
     /// # Errors
     ///
