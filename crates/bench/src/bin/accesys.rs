@@ -30,7 +30,7 @@ use accesys_spec::{Scenario, Spec, SpecError};
 const USAGE: &str = "usage: accesys <command> [args]
 
 commands:
-  run <spec> [--jobs N] [--json] [--full] [--kernel-threads N]
+  run <spec> [--jobs N] [--json] [--full] [--fleet-workers N]
                   load a scenario file, validate it, and run its sweep
                   (<spec> is a file path, or the bare name of a
                   committed spec from `accesys list`)
@@ -45,10 +45,6 @@ run flags:
                   (default: ACCESYS_JOBS, else all cores)
   --json          emit the machine-readable sweep result on stdout
   --full          paper-scale workload sizes (same as ACCESYS_FULL=1)
-  --kernel-threads N
-                  parallel domain-engine threads per simulation
-                  (overrides the spec's [kernel] threads; results are
-                  byte-identical at any value)
   --fleet-workers N
                   worker OS processes for fleet scenarios, 0 = run the
                   host shards in-process (overrides the spec's [fleet]
@@ -84,7 +80,7 @@ fn split_args(args: &[String]) -> Result<(Vec<&str>, Cli), CliError> {
     let mut flags = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if arg == "--jobs" || arg == "-j" || arg == "--kernel-threads" || arg == "--fleet-workers" {
+        if arg == "--jobs" || arg == "-j" || arg == "--fleet-workers" {
             flags.push(arg.clone());
             if let Some(value) = iter.next() {
                 flags.push(value.clone());
@@ -133,16 +129,13 @@ fn cmd_run(args: &[String]) -> i32 {
         eprintln!("accesys run: exactly one spec file is required\n\n{USAGE}");
         return 2;
     };
-    let mut spec = match load(name) {
+    let spec = match load(name) {
         Ok(spec) => spec,
         Err(err) => {
             eprintln!("accesys run: {name}: {err}");
             return 1;
         }
     };
-    if let Some(threads) = cli.kernel_threads {
-        spec.scenario.set_kernel_threads(threads);
-    }
     if let Err(err) = spec.dry_build(cli.scale) {
         eprintln!("accesys run: {name}: {err}");
         return 1;

@@ -15,11 +15,8 @@
 //!   ratio is `speedup_vs_prechange`, checked against the ≥1.3× bar.
 //! * **end-to-end** — a real `Simulation::run_gemm` over the fig2
 //!   configuration, so scheduler wins are visible against full module
-//!   dispatch too — once as built, and once through the pre-change
-//!   execution profile reconstructed in-process (buffered sends via
-//!   `Kernel::set_buffered_compat`, packet recycling off via
-//!   `PacketPool::set_bypass`). Their ratio is
-//!   `e2e_speedup_vs_prechange`; falling below 1.0 fails the build.
+//!   dispatch too. `e2e_events` is a determinism canary: it must not
+//!   move in a perf-only change.
 //! * **allocation diet** — this binary installs a counting global
 //!   allocator; after one warm-up run (packet pool and container
 //!   capacities at their peaks) every allocator hit during a second,
@@ -27,13 +24,7 @@
 //!   stay ≈ 0 (the report-assembly tail is O(1) per *run*, so the bar
 //!   is a loose 0.01 per event).
 //!
-//! The report also records the parallel-engine shape: `domains` (how
-//! the fig2 topology partitions at PCIe link cuts) and
-//! `kernel_threads` (what the e2e measurement ran with — results are
-//! byte-identical at any value, so CI keeps the default of 1).
-//!
 //! Flags: `--json` (machine-readable report on stdout),
-//! `--kernel-threads N` (worker threads for the e2e run),
 //! `--jobs`/`--full` accepted for CLI uniformity but ignored
 //! (single-kernel measurements).
 
@@ -132,18 +123,15 @@ fn queue_bench<T, Q: SchedQueue<T>>(make_queue: impl Fn() -> Q, make_node: fn(u6
     best
 }
 
-/// The fig2 configuration every end-to-end measurement shares, at an
-/// explicit kernel thread count.
-fn fig2_cfg(kernel_threads: u32) -> SystemConfig {
-    let mut cfg = SystemConfig::pcie_host(8.0, MemTech::Ddr4);
-    cfg.kernel_threads = kernel_threads;
-    cfg
+/// The fig2 configuration every end-to-end measurement shares.
+fn fig2_cfg() -> SystemConfig {
+    SystemConfig::pcie_host(8.0, MemTech::Ddr4)
 }
 
 /// End-to-end fig2-configuration GEMM run; returns (events/sec, events,
 /// wall ms, peak queue depth).
-fn e2e_fig2_style(kernel_threads: u32) -> (f64, u64, f64, u64) {
-    let cfg = fig2_cfg(kernel_threads);
+fn e2e_fig2_style() -> (f64, u64, f64, u64) {
+    let cfg = fig2_cfg();
     let mut best_eps = 0.0f64;
     let mut events = 0u64;
     let mut wall_ms = 0.0;
@@ -165,34 +153,12 @@ fn e2e_fig2_style(kernel_threads: u32) -> (f64, u64, f64, u64) {
     (best_eps, events, wall_ms, peak)
 }
 
-/// The same end-to-end run through the pre-change execution profile,
-/// reconstructed in-process: sends buffered and replayed per event
-/// (`Kernel::set_buffered_compat`) and every packet box drawn fresh
-/// from the global allocator (`PacketPool::set_bypass`). Observable
-/// results are identical; only the engine's mechanics differ.
-fn e2e_prechange() -> f64 {
-    let cfg = fig2_cfg(1);
-    let mut best_eps = 0.0f64;
-    for _ in 0..REPS {
-        let mut sim = Simulation::new(cfg.clone()).expect("valid config");
-        sim.kernel_mut().set_buffered_compat(true);
-        PacketPool::set_bypass(true);
-        let start = Instant::now();
-        sim.run_gemm(GemmSpec::square(256)).expect("gemm completes");
-        let secs = start.elapsed().as_secs_f64();
-        let events = sim.stats().get_or_zero("kernel.events");
-        best_eps = best_eps.max(events / secs);
-    }
-    PacketPool::set_bypass(false);
-    best_eps
-}
-
 /// Steady-state allocation rate: one warm-up run brings the packet
 /// pool and every container to its peak capacity, then a second,
 /// identical run is measured with the counting allocator armed.
 /// Returns (allocs/event, raw allocs, pool misses, pool reuses).
 fn e2e_alloc_diet() -> (f64, u64, u64, u64) {
-    let mut sim = Simulation::new(fig2_cfg(1)).expect("valid config");
+    let mut sim = Simulation::new(fig2_cfg()).expect("valid config");
     sim.run_gemm(GemmSpec::square(256))
         .expect("warm-up completes");
     let events_before = sim.stats().get_or_zero("kernel.events") as u64;
@@ -215,17 +181,6 @@ fn e2e_alloc_diet() -> (f64, u64, u64, u64) {
     )
 }
 
-/// How many conservative-parallel domains the fig2 topology splits
-/// into (probed with the partition machinery forced on; the count is a
-/// property of the topology, not of the thread knob).
-fn fig2_domains() -> u64 {
-    let sim = Simulation::new(fig2_cfg(2)).expect("valid config");
-    sim.kernel()
-        .partition()
-        .map(|(domains, _, _)| domains as u64)
-        .unwrap_or(1)
-}
-
 /// The bench-trajectory record emitted as `BENCH_kernel.json`.
 #[derive(Debug, serde::Serialize)]
 struct PerfReport {
@@ -244,19 +199,12 @@ struct PerfReport {
     /// Real fig2-configuration GEMM run: events/sec.
     e2e_events_per_sec: f64,
     /// Events processed by the end-to-end run (a determinism canary:
-    /// this must never change across perf-only PRs, at any thread
-    /// count).
+    /// this must never change across perf-only changes).
     e2e_events: u64,
     /// Wall-clock of the best end-to-end rep, in milliseconds.
     e2e_wall_ms: f64,
     /// Peak queue depth of the end-to-end run.
     e2e_peak_queue_depth: u64,
-    /// The same run through the in-process pre-change reconstruction
-    /// (buffered sends, no packet recycling): events/sec.
-    e2e_prechange_events_per_sec: f64,
-    /// `e2e / e2e_prechange` — the acceptance bar is ≥ 1.0 (the
-    /// engine must never run slower than its pre-change self).
-    e2e_speedup_vs_prechange: f64,
     /// Global-allocator hits per event across a warmed steady-state
     /// run — the allocation-diet headline; the bar is < 0.01.
     steady_state_allocs_per_event: f64,
@@ -268,25 +216,18 @@ struct PerfReport {
     steady_state_pool_misses: u64,
     /// Packet boxes served from the recycled free list in that run.
     steady_state_pool_reuses: u64,
-    /// Conservative-parallel domains the fig2 topology splits into.
-    domains: u64,
-    /// Worker threads the e2e measurement ran with.
-    kernel_threads: u32,
 }
 
 fn main() {
     let cli = Cli::from_env("perf");
-    let kernel_threads = cli.kernel_threads.unwrap_or(1);
 
     eprintln!("# perf: kernel schedule/drain microbench ({KERNEL_EVENTS} events)...");
     let (kernel_eps, kernel_peak) = kernel_microbench();
     eprintln!("# perf: queue pre/post reconstruction ({QUEUE_EVENTS} events)...");
     let old_eps = queue_bench(BaselineQueue::new, |seq| (0u32, OldMsg::Timer(seq)));
     let new_eps = queue_bench(EventQueue::new, |seq| (0u32, Msg::Timer(seq)));
-    eprintln!("# perf: end-to-end fig2-style GEMM (kernel_threads={kernel_threads})...");
-    let (e2e_eps, e2e_events, e2e_wall_ms, e2e_peak) = e2e_fig2_style(kernel_threads);
-    eprintln!("# perf: end-to-end pre-change reconstruction...");
-    let e2e_old_eps = e2e_prechange();
+    eprintln!("# perf: end-to-end fig2-style GEMM...");
+    let (e2e_eps, e2e_events, e2e_wall_ms, e2e_peak) = e2e_fig2_style();
     eprintln!("# perf: steady-state allocation diet...");
     let (allocs_per_event, allocs, pool_misses, pool_reuses) = e2e_alloc_diet();
 
@@ -300,14 +241,10 @@ fn main() {
         e2e_events,
         e2e_wall_ms,
         e2e_peak_queue_depth: e2e_peak,
-        e2e_prechange_events_per_sec: e2e_old_eps,
-        e2e_speedup_vs_prechange: e2e_eps / e2e_old_eps,
         steady_state_allocs_per_event: allocs_per_event,
         steady_state_allocs: allocs,
         steady_state_pool_misses: pool_misses,
         steady_state_pool_reuses: pool_reuses,
-        domains: fig2_domains(),
-        kernel_threads,
     };
 
     if cli.json {
@@ -345,14 +282,6 @@ fn main() {
             "e2e peak queue depth", report.e2e_peak_queue_depth
         );
         println!(
-            "{:<34} {:>14.0}",
-            "e2e pre-change events/sec", report.e2e_prechange_events_per_sec
-        );
-        println!(
-            "{:<34} {:>14.2}",
-            "e2e speedup vs pre-change", report.e2e_speedup_vs_prechange
-        );
-        println!(
             "{:<34} {:>14.4}",
             "steady allocs/event", report.steady_state_allocs_per_event
         );
@@ -365,8 +294,6 @@ fn main() {
             "{:<34} {:>14}",
             "steady pool reuses", report.steady_state_pool_reuses
         );
-        println!("{:<34} {:>14}", "domains", report.domains);
-        println!("{:<34} {:>14}", "kernel threads", report.kernel_threads);
     }
 
     // Regressions below the accepted bars are build failures in CI, not
@@ -378,16 +305,6 @@ fn main() {
         eprintln!(
             "perf: two-level scheduler speedup {:.2}x is below the {SPEEDUP_BAR}x acceptance bar",
             report.speedup_vs_prechange
-        );
-        std::process::exit(1);
-    }
-    // The engine must never be slower than its pre-change self on the
-    // same machine, same process, same run.
-    const E2E_BAR: f64 = 1.0;
-    if report.e2e_speedup_vs_prechange < E2E_BAR {
-        eprintln!(
-            "perf: e2e speedup {:.2}x vs the pre-change reconstruction is below {E2E_BAR}x",
-            report.e2e_speedup_vs_prechange
         );
         std::process::exit(1);
     }

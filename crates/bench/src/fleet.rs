@@ -12,8 +12,8 @@
 //! point's shards are then merged in host order. With `--fleet-workers
 //! N`, points instead take turns on N `accesys-fleet-worker` OS
 //! processes pooled across the sweep. The determinism contract stacks:
-//! the merged fleet report is byte-identical at any `--jobs`, any
-//! `--kernel-threads`, and any `--fleet-workers` count — CI pins the
+//! the merged fleet report is byte-identical at any `--jobs` and any
+//! `--fleet-workers` count — CI pins the
 //! 1-vs-4-process and the in-process 1-vs-4-job comparisons with `cmp`.
 //!
 //! The scenario (testbed, request, traffic, policy, link model, sweep
@@ -64,7 +64,6 @@ pub fn lower(sc: &FleetScenario, hosts: u32, shape: &str, scale: Scale) -> Fleet
             compute_ns: sc.system.compute_ns,
             smmu: sc.system.smmu,
             devmem: sc.system.devmem,
-            kernel_threads: sc.system.kernel_threads.unwrap_or(0),
         },
         request: sc.request,
         traffic: FleetTraffic {

@@ -135,6 +135,14 @@ pub struct Cache {
     name: String,
     cfg: CacheConfig,
     downstream: ModuleId,
+    /// `cfg.hit_latency_ns` in ticks, converted once at construction.
+    hit_ticks: Tick,
+    /// `cfg.lookup_latency_ns` in ticks, converted once at construction.
+    lookup_ticks: Tick,
+    /// log2 of the line size: line address -> line number.
+    line_shift: u32,
+    /// log2 of the set count: line number -> (tag, set).
+    set_bits: u32,
     /// The tag array, flat: way `w` of set `s` is `lines[s * assoc + w]`.
     lines: Vec<Line>,
     lru_clock: u64,
@@ -168,8 +176,22 @@ pub struct Cache {
 
 impl Cache {
     /// Create a cache forwarding misses to `downstream`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size and the set count are powers of two
+    /// (set and tag come from a shift and a mask), or if tags would not
+    /// fit the tag word.
     pub fn new(name: &str, cfg: CacheConfig, downstream: ModuleId) -> Self {
         assert!(cfg.assoc >= 1 && cfg.line_bytes.is_power_of_two());
+        assert!(
+            cfg.num_sets().is_power_of_two(),
+            "{name}: {} sets is not a power of two ({} bytes / {}-way / {}-byte lines)",
+            cfg.num_sets(),
+            cfg.size_bytes,
+            cfg.assoc,
+            cfg.line_bytes
+        );
         assert!(
             u64::MAX / u64::from(cfg.line_bytes) / cfg.num_sets() <= Line::TAG,
             "tags of {}-byte lines overflow the tag word",
@@ -180,6 +202,10 @@ impl Cache {
             name: name.to_string(),
             cfg,
             downstream,
+            hit_ticks: units::ns(cfg.hit_latency_ns),
+            lookup_ticks: units::ns(cfg.lookup_latency_ns),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_bits: cfg.num_sets().trailing_zeros(),
             lines: vec![Line::EMPTY; ways],
             lru_clock: 0,
             mshrs: FxHashMap::default(),
@@ -227,11 +253,11 @@ impl Cache {
     }
 
     fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / u64::from(self.cfg.line_bytes)) % self.cfg.num_sets()) as usize
+        ((line_addr >> self.line_shift) & ((1 << self.set_bits) - 1)) as usize
     }
 
     fn tag_of(&self, line_addr: u64) -> u64 {
-        line_addr / u64::from(self.cfg.line_bytes) / self.cfg.num_sets()
+        line_addr >> (self.line_shift + self.set_bits)
     }
 
     fn side_of(&self, stream: u16) -> CoherenceSide {
@@ -323,8 +349,7 @@ impl Cache {
             self.evictions += 1;
             if victim.dirty() {
                 self.writebacks += 1;
-                let victim_addr = (victim.tag() * self.cfg.num_sets() + set as u64)
-                    * u64::from(self.cfg.line_bytes);
+                let victim_addr = ((victim.tag() << self.set_bits) | set as u64) << self.line_shift;
                 let wb = Packet::request(
                     ctx.alloc_pkt_id(),
                     MemCmd::WriteReq,
@@ -360,7 +385,7 @@ impl Cache {
                 self.lines[i].word |= Line::DIRTY;
             }
             self.touch(i);
-            let at = ctx.now() + units::ns(self.cfg.hit_latency_ns);
+            let at = ctx.now() + self.hit_ticks;
             self.complete_line(op.parent, at, ctx);
             return;
         }
@@ -387,8 +412,7 @@ impl Cache {
         // The fill inherits the requester's stream: a downstream
         // coherence point classifies CPU-vs-I/O side from it, so it must
         // reflect the original traffic class (never the packet id, which
-        // is an equality-only match key — the parallel domain engine
-        // allocates ids from per-domain chunks).
+        // is an equality-only match key).
         fill.stream = self
             .parents
             .get(&op.parent)
@@ -396,11 +420,7 @@ impl Cache {
             .pkt
             .stream;
         fill.route.push(ctx.self_id());
-        ctx.send(
-            self.downstream,
-            units::ns(self.cfg.lookup_latency_ns),
-            Msg::packet(fill),
-        );
+        ctx.send(self.downstream, self.lookup_ticks, Msg::packet(fill));
     }
 
     /// Track the lines the CPU side may hold (coherence-point role only).
@@ -444,7 +464,7 @@ impl Cache {
         self.bytes += u64::from(pkt.size);
         let first = self.line_of(pkt.addr);
         let last = self.line_of(pkt.addr + u64::from(pkt.size) - 1);
-        let lines = ((last - first) / u64::from(self.cfg.line_bytes) + 1) as u32;
+        let lines = (((last - first) >> self.line_shift) + 1) as u32;
         let parent_id = pkt.id;
         self.parents.insert(
             parent_id,
@@ -473,7 +493,7 @@ impl Cache {
             .expect("fill without MSHR entry");
         let dirty = waiters.iter().any(|w| w.write);
         self.install(line_addr, dirty, ctx);
-        let at = ctx.now() + units::ns(self.cfg.hit_latency_ns);
+        let at = ctx.now() + self.hit_ticks;
         for w in waiters.drain(..) {
             self.note_presence(w);
             self.complete_line(w.parent, at, ctx);
@@ -503,11 +523,7 @@ impl Cache {
         }
         pkt.make_response();
         if let Some(next) = pkt.route.pop() {
-            ctx.send(
-                next,
-                units::ns(self.cfg.lookup_latency_ns),
-                Msg::Packet(pkt),
-            );
+            ctx.send(next, self.lookup_ticks, Msg::Packet(pkt));
         }
     }
 
@@ -929,5 +945,15 @@ mod tests {
         );
         assert_eq!(stats.get_or_zero("c.hits"), 2.0);
         assert_eq!(stats.get_or_zero("c.misses"), 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 sets is not a power of two")]
+    fn a_set_count_that_is_not_a_power_of_two_is_rejected() {
+        let cfg = CacheConfig {
+            size_bytes: 3 * 4 * 64, // three sets of four 64-byte ways
+            ..CacheConfig::l1(1 << 10)
+        };
+        Cache::new("odd", cfg, ModuleId::INVALID);
     }
 }

@@ -159,21 +159,6 @@ pub struct SystemConfig {
     pub coherent: bool,
     /// Compute functional GEMM results (tests; costs host CPU time).
     pub functional: bool,
-    /// Worker threads for the parallel domain engine (1 = sequential).
-    ///
-    /// Observable results are byte-identical at any thread count; see
-    /// [`accesys_sim::Kernel::set_partition`]. Defaults to the
-    /// `ACCESYS_KERNEL_THREADS` environment variable, or 1.
-    pub kernel_threads: u32,
-}
-
-/// Read the `ACCESYS_KERNEL_THREADS` environment default (1 if unset
-/// or unparsable; 0 is clamped to 1).
-pub fn kernel_threads_default() -> u32 {
-    std::env::var("ACCESYS_KERNEL_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .map_or(1, |n| n.max(1))
 }
 
 impl SystemConfig {
@@ -210,7 +195,6 @@ impl SystemConfig {
             accel: AccelControllerConfig::default(),
             coherent: true,
             functional: false,
-            kernel_threads: kernel_threads_default(),
         }
     }
 

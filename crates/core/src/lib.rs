@@ -55,14 +55,13 @@ mod system;
 pub mod topology;
 
 pub use config::{
-    kernel_threads_default, AccessMode, InterconnectKind, MemBackendConfig, MemoryLocation,
-    PcieConfig, SystemConfig,
+    AccessMode, InterconnectKind, MemBackendConfig, MemoryLocation, PcieConfig, SystemConfig,
 };
 pub use dispatch::{DispatchPlan, GraphRun, GraphSession};
 pub use error::{BuildError, Error, RunError};
 pub use report::{RunReport, VitReport};
 pub use system::Simulation;
-pub use topology::{KernelPartition, TopologySpec};
+pub use topology::TopologySpec;
 
 // Re-export the subsystem crates so downstream users need one dependency.
 pub use accesys_accel as accel;

@@ -66,11 +66,6 @@ impl Simulation {
     pub fn from_topology(cfg: SystemConfig, spec: &TopologySpec) -> Result<Self, BuildError> {
         let mut kernel = Kernel::new();
         let topo = spec.instantiate(&mut kernel)?;
-        if cfg.kernel_threads > 1 {
-            if let Some(p) = spec.partition(&topo) {
-                kernel.set_partition(p.domains, p.lookahead, cfg.kernel_threads as usize);
-            }
-        }
         Ok(Simulation {
             cfg,
             kernel,

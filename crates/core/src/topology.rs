@@ -45,7 +45,7 @@ use accesys_interconnect::{
     SwitchPort, Xbar, XbarConfig,
 };
 use accesys_mem::{Dram, SimpleMemory};
-use accesys_sim::{streams, units, Kernel, Module, ModuleId, Tick, MAX_ROUTE_DEPTH};
+use accesys_sim::{streams, Kernel, Module, ModuleId, MAX_ROUTE_DEPTH};
 use accesys_smmu::{Smmu, SmmuConfig};
 
 /// Maximum downstream ports on one switch accepted by the validator.
@@ -249,17 +249,6 @@ pub struct TopologySpec {
     smmu: Option<NodeId>,
     devices: Vec<DeviceSpec>,
     devmem_act_base: Option<u64>,
-}
-
-/// A parallel-kernel domain partition derived from a topology (see
-/// [`TopologySpec::partition`]); feed it to
-/// [`accesys_sim::Kernel::set_partition`].
-#[derive(Clone, Debug)]
-pub struct KernelPartition {
-    /// Disjoint module sets covering every instantiated node.
-    pub domains: Vec<Vec<ModuleId>>,
-    /// Minimum cross-domain message latency, in ticks.
-    pub lookahead: Tick,
 }
 
 /// Kernel-side handles of an instantiated topology.
@@ -746,170 +735,6 @@ impl TopologySpec {
             )));
         }
         Ok(())
-    }
-
-    /// Derive a parallel-kernel domain partition from the topology.
-    ///
-    /// Domains are the connected components left after cutting the graph
-    /// at latency-bearing PCIe edges. Each link *pair* is kept with the
-    /// subtree **below** it (an up-direction link joins its source's
-    /// domain, not its destination's), which makes every cut send carry
-    /// hardware latency in both directions:
-    ///
-    /// * downward: a root complex or switch forwards onto a cut link no
-    ///   earlier than its own `latency_ns`;
-    /// * upward: a link delivers (and returns credits) no earlier than
-    ///   the header serialization time.
-    ///
-    /// The minimum of those bounds over the whole topology is the
-    /// partition's `lookahead`. Endpoint-side zero-delay messages
-    /// (credit drains, accelerator doorbells, DMA issue) all stay inside
-    /// one domain by construction. Flit (CXL) links are *not* cut — their
-    /// coherent byte-level handshakes are too tightly coupled — so a
-    /// CXL-attached device shares the host's domain.
-    ///
-    /// Returns `None` when the topology yields fewer than two domains or
-    /// no usable lookahead (nothing to parallelize).
-    pub fn partition(&self, handles: &TopologyHandles) -> Option<KernelPartition> {
-        let n = self.nodes.len();
-
-        // Up-direction links: cut from their destination (the parent
-        // side); they join the child's domain through the child's own
-        // `up_link` edge below.
-        let mut is_up_link = vec![false; n];
-        for node in self.nodes.iter().flatten() {
-            match &node.spec {
-                NodeSpec::Switch { up_link, .. } | NodeSpec::Endpoint { up_link, .. } => {
-                    is_up_link[up_link.idx()] = true;
-                }
-                _ => {}
-            }
-        }
-
-        // Union-find over node slots; every non-cut communication edge
-        // merges its endpoints. Routing metadata (`pcie_modules`, switch
-        // `downstream` back-references, CPU uncached ranges) carries no
-        // messages and is skipped.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let union = |parent: &mut Vec<usize>, a: usize, b: NodeId| {
-            let (ra, rb) = (find(parent, a), find(parent, b.idx()));
-            parent[ra] = rb;
-        };
-        for (i, node) in self.nodes.iter().enumerate() {
-            let Some(node) = node else { continue };
-            match &node.spec {
-                NodeSpec::Memory { .. } | NodeSpec::Dma { .. } => {}
-                NodeSpec::Xbar {
-                    default, routes, ..
-                } => {
-                    union(&mut parent, i, *default);
-                    for &(_, dst) in routes {
-                        union(&mut parent, i, dst);
-                    }
-                }
-                NodeSpec::Cache {
-                    downstream,
-                    coherent_cpu_cache,
-                    ..
-                } => {
-                    union(&mut parent, i, *downstream);
-                    if let Some(cc) = coherent_cpu_cache {
-                        union(&mut parent, i, *cc);
-                    }
-                }
-                NodeSpec::Cpu { dcache, membus, .. } => {
-                    union(&mut parent, i, *dcache);
-                    union(&mut parent, i, *membus);
-                }
-                NodeSpec::Smmu { downstream, .. } => union(&mut parent, i, *downstream),
-                // A down-direction PCIe link joins the subtree it feeds;
-                // an up-direction link is cut here and joins its source's
-                // domain via the Switch/Endpoint arm below.
-                NodeSpec::PcieLink { dst, .. } => {
-                    if !is_up_link[i] {
-                        union(&mut parent, i, *dst);
-                    }
-                }
-                // Flit links are never cut (see the doc comment).
-                NodeSpec::FlitLink { dst, .. } => union(&mut parent, i, *dst),
-                NodeSpec::RootComplex {
-                    host_target,
-                    sideband,
-                    ..
-                } => {
-                    // `down_link` is a cut edge (≥ latency_ns away).
-                    union(&mut parent, i, *host_target);
-                    if let Some((_, dst)) = sideband {
-                        union(&mut parent, i, *dst);
-                    }
-                }
-                NodeSpec::Switch { up_link, .. } => {
-                    // Port egress links are cut edges (≥ latency_ns away);
-                    // the up link rides with this switch's domain.
-                    union(&mut parent, i, *up_link);
-                }
-                NodeSpec::Endpoint {
-                    up_link,
-                    mmio_target,
-                    inward,
-                    ..
-                } => {
-                    union(&mut parent, i, *up_link);
-                    union(&mut parent, i, *mmio_target);
-                    for &(_, dst) in inward {
-                        union(&mut parent, i, dst);
-                    }
-                }
-                NodeSpec::Accel { dma, ep, .. } => {
-                    union(&mut parent, i, *dma);
-                    union(&mut parent, i, *ep);
-                }
-            }
-        }
-
-        // Lookahead: the smallest latency any cut edge can carry. PCIe
-        // links bound the upward direction by the header serialization
-        // time; root complexes and switches bound the downward direction
-        // by their per-TLP latency.
-        let mut lookahead = Tick::MAX;
-        for node in self.nodes.iter().flatten() {
-            let bound = match &node.spec {
-                NodeSpec::PcieLink { cfg, .. } => {
-                    units::transfer_time(u64::from(cfg.header_bytes), cfg.bandwidth_gbps())
-                }
-                NodeSpec::RootComplex { cfg, .. } => units::ns(cfg.latency_ns),
-                NodeSpec::Switch { cfg, .. } => units::ns(cfg.latency_ns),
-                _ => continue,
-            };
-            lookahead = lookahead.min(bound);
-        }
-
-        // Group nodes into domains, ordered by first member for
-        // determinism.
-        let mut comp_index: Vec<Option<usize>> = vec![None; n];
-        let mut domains: Vec<Vec<ModuleId>> = Vec::new();
-        for i in 0..n {
-            if self.nodes[i].is_none() {
-                continue;
-            }
-            let root = find(&mut parent, i);
-            let d = *comp_index[root].get_or_insert_with(|| {
-                domains.push(Vec::new());
-                domains.len() - 1
-            });
-            domains[d].push(handles.module_id(NodeId(i as u32)));
-        }
-        if domains.len() < 2 || lookahead == 0 || lookahead == Tick::MAX {
-            return None;
-        }
-        Some(KernelPartition { domains, lookahead })
     }
 
     /// Instantiate the spec into `kernel`: validate, reserve one

@@ -25,10 +25,6 @@ pub struct Cli {
     pub jobs: Jobs,
     /// Emit JSON on stdout instead of the human-readable table.
     pub json: bool,
-    /// Parallel-kernel worker threads per simulation (`--kernel-threads`);
-    /// `None` defers to the spec / `ACCESYS_KERNEL_THREADS` / 1. Results
-    /// are byte-identical at any value — this only buys wall-clock.
-    pub kernel_threads: Option<u32>,
     /// Fleet worker OS processes (`--fleet-workers`); 0 runs every host
     /// shard of the sweep in-process on the `jobs` threads, as one flat
     /// shard list. `None` defers to the spec / `ACCESYS_FLEET_WORKERS` /
@@ -48,8 +44,6 @@ pub enum CliError {
     MissingValue(String),
     /// `--jobs` got something other than a positive integer.
     BadJobs(String),
-    /// `--kernel-threads` got something other than a positive integer.
-    BadKernelThreads(String),
     /// `--fleet-workers` got something other than a non-negative integer.
     BadFleetWorkers(String),
 }
@@ -62,12 +56,6 @@ impl std::fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             CliError::BadJobs(value) => {
                 write!(f, "--jobs needs a positive integer, got `{value}`")
-            }
-            CliError::BadKernelThreads(value) => {
-                write!(
-                    f,
-                    "--kernel-threads needs a positive integer, got `{value}`"
-                )
             }
             CliError::BadFleetWorkers(value) => {
                 write!(
@@ -88,7 +76,6 @@ impl Cli {
             scale,
             jobs,
             json: false,
-            kernel_threads: None,
             fleet_workers: None,
         }
     }
@@ -121,7 +108,6 @@ impl Cli {
             scale: Scale::from_env(),
             jobs: Jobs::from_env(),
             json: false,
-            kernel_threads: None,
             fleet_workers: fleet_workers_from_env(),
         };
         let mut args = args.peekable();
@@ -134,10 +120,6 @@ impl Cli {
                     let value = args.next().ok_or(CliError::MissingValue(arg))?;
                     cli.jobs = parse_jobs(&value)?;
                 }
-                "--kernel-threads" => {
-                    let value = args.next().ok_or(CliError::MissingValue(arg))?;
-                    cli.kernel_threads = Some(parse_kernel_threads(&value)?);
-                }
                 "--fleet-workers" => {
                     let value = args.next().ok_or(CliError::MissingValue(arg))?;
                     cli.fleet_workers = Some(parse_fleet_workers(&value)?);
@@ -145,8 +127,6 @@ impl Cli {
                 other => {
                     if let Some(value) = other.strip_prefix("--jobs=") {
                         cli.jobs = parse_jobs(value)?;
-                    } else if let Some(value) = other.strip_prefix("--kernel-threads=") {
-                        cli.kernel_threads = Some(parse_kernel_threads(value)?);
                     } else if let Some(value) = other.strip_prefix("--fleet-workers=") {
                         cli.fleet_workers = Some(parse_fleet_workers(value)?);
                     } else {
@@ -163,13 +143,6 @@ fn parse_jobs(value: &str) -> Result<Jobs, CliError> {
     match value.parse::<usize>() {
         Ok(n) if n > 0 => Ok(Jobs::new(n)),
         _ => Err(CliError::BadJobs(value.to_string())),
-    }
-}
-
-fn parse_kernel_threads(value: &str) -> Result<u32, CliError> {
-    match value.parse::<u32>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(CliError::BadKernelThreads(value.to_string())),
     }
 }
 
@@ -190,7 +163,7 @@ fn fleet_workers_from_env() -> Option<u32> {
 /// The usage text every sweep bin shares.
 pub fn usage(bin: &str) -> String {
     format!(
-        "usage: {bin} [--jobs N] [--json] [--full] [--kernel-threads N] [--fleet-workers N]\n\
+        "usage: {bin} [--jobs N] [--json] [--full] [--fleet-workers N]\n\
          \n\
          --jobs N, -j N  run the sweep on N worker threads\n\
          \x20                (default: ACCESYS_JOBS, else all cores)\n\
@@ -198,11 +171,6 @@ pub fn usage(bin: &str) -> String {
          --full          paper-scale workload sizes where applicable\n\
          \x20                (same as ACCESYS_FULL=1; scale-independent\n\
          \x20                bins such as probe/table2/table3 ignore it)\n\
-         --kernel-threads N\n\
-         \x20                parallel domain-engine threads per simulation\n\
-         \x20                (default: spec [kernel] threads, else\n\
-         \x20                ACCESYS_KERNEL_THREADS, else 1; results are\n\
-         \x20                byte-identical at any value)\n\
          --fleet-workers N\n\
          \x20                worker OS processes for fleet scenarios\n\
          \x20                (0 = in-process: every host shard of the sweep\n\
@@ -282,13 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_threads_parses_and_defaults_to_none() {
-        assert_eq!(parse(&[]).kernel_threads, None);
-        assert_eq!(parse(&["--kernel-threads", "4"]).kernel_threads, Some(4));
-        assert_eq!(parse(&["--kernel-threads=2"]).kernel_threads, Some(2));
-    }
-
-    #[test]
     fn fleet_workers_parses_and_allows_zero() {
         assert_eq!(parse(&["--fleet-workers", "4"]).fleet_workers, Some(4));
         assert_eq!(parse(&["--fleet-workers=8"]).fleet_workers, Some(8));
@@ -311,13 +272,11 @@ mod tests {
             parse(&["--jobs", "zero"]),
             Err(CliError::BadJobs("zero".to_string()))
         );
+        // The event loop is sequential; there is no per-simulation
+        // thread knob.
         assert_eq!(
-            parse(&["--kernel-threads", "none"]),
-            Err(CliError::BadKernelThreads("none".to_string()))
-        );
-        assert_eq!(
-            parse(&["--kernel-threads", "0"]),
-            Err(CliError::BadKernelThreads("0".to_string()))
+            parse(&["--kernel-threads", "4"]),
+            Err(CliError::UnknownFlag("--kernel-threads".to_string()))
         );
         assert_eq!(
             parse(&["--fleet-workers", "many"]),

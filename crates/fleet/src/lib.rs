@@ -8,9 +8,8 @@
 //! A single process caps out at [`accesys::addrmap::MAX_ACCELS`]
 //! endpoints (the per-host BAR carving), so datacenter-scale questions
 //! — "10k accelerators, how many hosts?" — need a horizontal cut. The
-//! cut here is the cross-host analogue of PR 9's conservative domain
-//! partition: hosts only interact with the open-loop frontend through
-//! network links of strictly positive latency ([`NetLink`]), so each
+//! cut is conservative: hosts only interact with the open-loop frontend
+//! through network links of strictly positive latency ([`NetLink`]), so each
 //! host shard is causally closed and can be simulated independently at
 //! full speed, then merged deterministically.
 //!
@@ -29,8 +28,7 @@
 //!
 //! The determinism contract stacks on the previous layers': the merged
 //! [`FleetReport`] is byte-identical at any `--fleet-workers` count
-//! (including 0 = in-process), any `--jobs` count, and any
-//! `[kernel] threads` count.
+//! (including 0 = in-process) and any `--jobs` count.
 
 pub mod host;
 pub mod merge;

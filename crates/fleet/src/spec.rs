@@ -50,10 +50,6 @@ pub struct HostSystem {
     pub smmu: bool,
     /// Uniform per-leaf device memory, if any.
     pub devmem: Option<MemTech>,
-    /// Parallel-kernel worker threads per host simulation (0 keeps the
-    /// [`SystemConfig`] default). Results are byte-identical at any
-    /// value — PR 9's contract, which the fleet contract stacks on.
-    pub kernel_threads: u32,
 }
 
 impl HostSystem {
@@ -65,9 +61,6 @@ impl HostSystem {
         }
         if !self.smmu {
             cfg.smmu = None;
-        }
-        if self.kernel_threads > 0 {
-            cfg.kernel_threads = self.kernel_threads;
         }
         cfg
     }
@@ -148,8 +141,7 @@ impl FleetPolicy {
 /// serialization term at the link bandwidth, FIFO per host.
 ///
 /// `latency_ns` doubles as the conservative-lookahead bound of the
-/// cross-host cut (the fleet analogue of the PR 9 domain cut): no
-/// event can cross between the frontend and a host in less than the
+/// cross-host cut: no event can cross between the frontend and a host in less than the
 /// link latency, so each host can be simulated `latency_ns` ahead of
 /// the frontend without risking causality. With the open-loop traffic
 /// model the frontend trace is fully precomputed and each host shard
@@ -188,7 +180,6 @@ impl FleetSpec {
                 compute_ns: Some(5_000.0),
                 smmu: false,
                 devmem: None,
-                kernel_threads: 0,
             },
             request: RequestShape {
                 seq: 32,

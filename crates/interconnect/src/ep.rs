@@ -2,7 +2,7 @@
 
 use crate::AddrRange;
 use accesys_sim::{
-    units, CreditClass, Ctx, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, Stats,
+    units, CreditClass, Ctx, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, Stats, Tick,
 };
 use std::collections::VecDeque;
 
@@ -51,6 +51,8 @@ impl PcieEndpointConfig {
 pub struct PcieEndpoint {
     name: String,
     cfg: PcieEndpointConfig,
+    /// `cfg.proc_ns` in ticks, converted once at construction.
+    proc: Tick,
     up_link: ModuleId,
     mmio_target: ModuleId,
     mmio_range: AddrRange,
@@ -81,6 +83,7 @@ impl PcieEndpoint {
         PcieEndpoint {
             name: name.to_string(),
             cfg,
+            proc: units::ns(cfg.proc_ns),
             up_link,
             mmio_target,
             mmio_range,
@@ -129,7 +132,7 @@ impl PcieEndpoint {
                 _ => CreditClass::Completion,
             };
             let bytes = self.cfg.credit_unit.credit_for(pkt);
-            ctx.send(pkt.ingress_link, 0, Msg::Credit { class, bytes });
+            ctx.send(pkt.ingress_link, 0, Msg::credit(class, bytes));
             pkt.ingress_link = ModuleId::INVALID;
         }
     }
@@ -149,7 +152,7 @@ impl PcieEndpoint {
             }
             let mut pkt = self.tx_queue.pop_front().expect("front exists");
             pkt.route.push(ctx.self_id());
-            ctx.send(self.up_link, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+            ctx.send(self.up_link, self.proc, Msg::Packet(pkt));
         }
     }
 }
@@ -176,7 +179,7 @@ impl Module for PcieEndpoint {
                         );
                         let target = self.inward_target(pkt.addr);
                         pkt.route.push(ctx.self_id());
-                        ctx.send(target, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+                        ctx.send(target, self.proc, Msg::Packet(pkt));
                     } else {
                         // Completion for an outbound request.
                         self.completions += 1;
@@ -185,7 +188,7 @@ impl Module for PcieEndpoint {
                             self.outstanding_np = self.outstanding_np.saturating_sub(1);
                         }
                         if let Some(next) = pkt.route.pop() {
-                            ctx.send(next, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+                            ctx.send(next, self.proc, Msg::Packet(pkt));
                         }
                         self.pump_tx(ctx);
                     }
@@ -195,7 +198,7 @@ impl Module for PcieEndpoint {
                     self.pump_tx(ctx);
                 } else {
                     // Response from device internals (MMIO completion).
-                    ctx.send(self.up_link, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+                    ctx.send(self.up_link, self.proc, Msg::Packet(pkt));
                 }
             }
             Msg::Timer(_) => self.pump_tx(ctx),

@@ -174,10 +174,7 @@ impl FlitLink {
                 ctx.send_at(
                     pkt.ingress_link,
                     tx_end,
-                    Msg::Credit {
-                        class: CreditClass::Posted,
-                        bytes: flits as u32,
-                    },
+                    Msg::credit(CreditClass::Posted, flits as u32),
                 );
             }
             pkt.ingress_link = ctx.self_id();
@@ -201,9 +198,9 @@ impl Module for FlitLink {
                 self.queue.push_back(pkt);
                 self.pump(ctx);
             }
-            Msg::Credit { bytes, .. } => {
+            Msg::Credit(credit) => {
                 // `bytes` carries a flit count on this link class.
-                self.credit_flits += i64::from(bytes);
+                self.credit_flits += i64::from(credit.bytes());
                 debug_assert!(
                     self.credit_flits <= i64::from(self.cfg.credit_flits),
                     "flit credit overflow on {}",
@@ -230,11 +227,11 @@ mod tests {
     use super::*;
     use accesys_sim::{Kernel, MemCmd};
 
-    struct Sink {
+    struct Receiver {
         got: Vec<(Tick, u32)>,
         return_credits: bool,
     }
-    impl Module for Sink {
+    impl Module for Receiver {
         fn name(&self) -> &str {
             "sink"
         }
@@ -246,10 +243,7 @@ mod tests {
                     ctx.send(
                         pkt.ingress_link,
                         0,
-                        Msg::Credit {
-                            class: CreditClass::Posted,
-                            bytes: cfg.flits_of(&pkt),
-                        },
+                        Msg::credit(CreditClass::Posted, cfg.flits_of(&pkt)),
                     );
                 }
             }
@@ -258,7 +252,7 @@ mod tests {
 
     fn run_writes(cfg: FlitLinkConfig, count: u32, size: u32) -> (Vec<(Tick, u32)>, Stats) {
         let mut k = Kernel::new();
-        let sink = k.add_module(Box::new(Sink {
+        let sink = k.add_module(Box::new(Receiver {
             got: vec![],
             return_credits: true,
         }));
@@ -268,7 +262,7 @@ mod tests {
             k.schedule(0, link, Msg::packet(pkt));
         }
         k.run_until_idle().unwrap();
-        (k.module::<Sink>(sink).unwrap().got.clone(), k.stats())
+        (k.module::<Receiver>(sink).unwrap().got.clone(), k.stats())
     }
 
     #[test]
@@ -284,7 +278,7 @@ mod tests {
     fn reads_ride_in_a_single_flit() {
         let cfg = FlitLinkConfig::cxl2(8);
         let mut k = Kernel::new();
-        let sink = k.add_module(Box::new(Sink {
+        let sink = k.add_module(Box::new(Receiver {
             got: vec![],
             return_credits: false,
         }));
@@ -323,7 +317,7 @@ mod tests {
         let mut cfg = FlitLinkConfig::cxl2(8);
         cfg.credit_flits = 4; // one 256 B write's worth
         let mut k = Kernel::new();
-        let sink = k.add_module(Box::new(Sink {
+        let sink = k.add_module(Box::new(Receiver {
             got: vec![],
             return_credits: false, // never return → only one packet passes
         }));
@@ -333,7 +327,7 @@ mod tests {
             k.schedule(0, link, Msg::packet(pkt));
         }
         k.run_until_idle().unwrap();
-        assert_eq!(k.module::<Sink>(sink).unwrap().got.len(), 1);
+        assert_eq!(k.module::<Receiver>(sink).unwrap().got.len(), 1);
         assert!(k.stats().get_or_zero("cxl.credit_stalls") >= 3.0);
     }
 

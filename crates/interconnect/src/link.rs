@@ -106,6 +106,12 @@ fn class_of(cmd: MemCmd) -> CreditClass {
 pub struct PcieLink {
     name: String,
     cfg: PcieLinkConfig,
+    /// `cfg.bandwidth_gbps()`, evaluated once at construction.
+    gb_per_s: f64,
+    /// `cfg.prop_delay_ns` in ticks, converted once at construction.
+    prop_delay: Tick,
+    /// `cfg.replay_ns` in ticks, converted once at construction.
+    replay: Tick,
     dst: ModuleId,
     credits: [i64; 3],
     queues: [VecDeque<PacketBox>; 3],
@@ -141,6 +147,9 @@ impl PcieLink {
         PcieLink {
             name: name.to_string(),
             cfg,
+            gb_per_s: cfg.bandwidth_gbps(),
+            prop_delay: units::ns(cfg.prop_delay_ns),
+            replay: units::ns(cfg.replay_ns),
             dst,
             credits,
             queues: Default::default(),
@@ -187,13 +196,13 @@ impl PcieLink {
                 }
                 let mut pkt = self.queues[ci].pop_front().expect("front exists");
                 self.credits[ci] -= wire;
-                let ser = units::transfer_time(wire as u64, self.cfg.bandwidth_gbps());
+                let ser = units::transfer_time(wire as u64, self.gb_per_s);
                 let tx_start = self.tx_free.max(ctx.now());
                 let mut tx_end = tx_start + ser;
                 // Data-link-layer error: the TLP is NAKed and replayed,
                 // costing one replay round plus a second serialization.
                 if self.cfg.error_rate > 0.0 && self.next_unit() < self.cfg.error_rate {
-                    tx_end += units::ns(self.cfg.replay_ns) + ser;
+                    tx_end += self.replay + ser;
                     self.replayed_tlps += 1;
                     self.busy += ser;
                     self.wire_bytes += wire as u64;
@@ -207,18 +216,11 @@ impl PcieLink {
                 }
                 // Store-and-forward: the receiver has the full TLP only
                 // after serialization plus wire propagation.
-                let arrive = tx_end + units::ns(self.cfg.prop_delay_ns);
+                let arrive = tx_end + self.prop_delay;
                 // Store-and-forward: the previous hop's buffer holds the
                 // TLP until we have fully transmitted it.
                 if pkt.ingress_link.is_valid() {
-                    ctx.send_at(
-                        pkt.ingress_link,
-                        tx_end,
-                        Msg::Credit {
-                            class,
-                            bytes: wire as u32,
-                        },
-                    );
+                    ctx.send_at(pkt.ingress_link, tx_end, Msg::credit(class, wire as u32));
                 }
                 pkt.ingress_link = ctx.self_id();
                 ctx.send_at(self.dst, arrive, Msg::Packet(pkt));
@@ -247,8 +249,9 @@ impl Module for PcieLink {
                 self.queues[class.index()].push_back(pkt);
                 self.pump(ctx);
             }
-            Msg::Credit { class, bytes } => {
-                self.credits[class.index()] += i64::from(bytes);
+            Msg::Credit(credit) => {
+                let class = credit.class();
+                self.credits[class.index()] += i64::from(credit.bytes());
                 debug_assert!(
                     self.credits[class.index()] <= i64::from(self.cfg.credit_bytes(class)),
                     "credit overflow on {}",
@@ -276,13 +279,13 @@ mod tests {
     use super::*;
     use accesys_sim::{Kernel, Packet};
 
-    /// Sink that consumes packets after `proc_ns` and returns credits.
-    struct Sink {
+    /// Consumes packets after `proc_ns` and returns credits.
+    struct Receiver {
         proc_ns: f64,
         got: Vec<(Tick, u32)>,
     }
 
-    impl Module for Sink {
+    impl Module for Receiver {
         fn name(&self) -> &str {
             "sink"
         }
@@ -294,7 +297,7 @@ mod tests {
                 ctx.send(
                     pkt.ingress_link,
                     units::ns(self.proc_ns),
-                    Msg::Credit { class, bytes: wire },
+                    Msg::credit(class, wire),
                 );
             }
         }
@@ -307,7 +310,7 @@ mod tests {
         sink_proc_ns: f64,
     ) -> (Vec<(Tick, u32)>, Stats) {
         let mut k = Kernel::new();
-        let sink = k.add_module(Box::new(Sink {
+        let sink = k.add_module(Box::new(Receiver {
             proc_ns: sink_proc_ns,
             got: vec![],
         }));
@@ -317,7 +320,7 @@ mod tests {
             k.schedule(0, link, Msg::packet(pkt));
         }
         k.run_until_idle().unwrap();
-        (k.module::<Sink>(sink).unwrap().got.clone(), k.stats())
+        (k.module::<Receiver>(sink).unwrap().got.clone(), k.stats())
     }
 
     #[test]
@@ -382,7 +385,7 @@ mod tests {
         };
         // Mixed sizes; the debug_assert in handle() checks overflow.
         let mut k = Kernel::new();
-        let sink = k.add_module(Box::new(Sink {
+        let sink = k.add_module(Box::new(Receiver {
             proc_ns: 50.0,
             got: vec![],
         }));
@@ -393,14 +396,14 @@ mod tests {
             k.schedule(u64::from(i) * 10, link, Msg::packet(pkt));
         }
         k.run_until_idle().unwrap();
-        assert_eq!(k.module::<Sink>(sink).unwrap().got.len(), 32);
+        assert_eq!(k.module::<Receiver>(sink).unwrap().got.len(), 32);
     }
 
     #[test]
     fn read_requests_cost_header_only() {
         let cfg = PcieLinkConfig::gen2_x4();
         let mut k = Kernel::new();
-        let sink = k.add_module(Box::new(Sink {
+        let sink = k.add_module(Box::new(Receiver {
             proc_ns: 0.0,
             got: vec![],
         }));
@@ -409,7 +412,10 @@ mod tests {
         k.schedule(0, link, Msg::packet(pkt));
         k.run_until_idle().unwrap();
         // 24 B at 2 GB/s = 12 ns + 10 ns prop.
-        assert_eq!(k.module::<Sink>(sink).unwrap().got[0].0, units::ns(22.0));
+        assert_eq!(
+            k.module::<Receiver>(sink).unwrap().got[0].0,
+            units::ns(22.0)
+        );
         assert_eq!(k.stats().get_or_zero("link.wire_bytes"), 24.0);
     }
 

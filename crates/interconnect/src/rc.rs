@@ -63,6 +63,10 @@ impl RootComplexConfig {
 pub struct RootComplex {
     name: String,
     cfg: RootComplexConfig,
+    /// `cfg.latency_ns` in ticks, converted once at construction.
+    latency: Tick,
+    /// `cfg.tlp_proc_ns` in ticks, converted once at construction.
+    tlp_proc: Tick,
     /// Where device-originated requests go (SMMU or MemBus).
     host_target: ModuleId,
     /// Downstream egress link (toward the switch).
@@ -96,6 +100,8 @@ impl RootComplex {
         RootComplex {
             name: name.to_string(),
             cfg,
+            latency: units::ns(cfg.latency_ns),
+            tlp_proc: units::ns(cfg.tlp_proc_ns),
             host_target,
             down_link,
             device_ranges: Vec::new(),
@@ -161,8 +167,8 @@ impl RootComplex {
 
     fn process_at(&mut self, now: Tick) -> Tick {
         let start = self.proc_free.max(now);
-        self.proc_free = start + units::ns(self.cfg.tlp_proc_ns);
-        start + units::ns(self.cfg.latency_ns)
+        self.proc_free = start + self.tlp_proc;
+        start + self.latency
     }
 
     /// Return the ingress credit for a packet that arrived over the link.
@@ -176,7 +182,7 @@ impl RootComplex {
                 _ => accesys_sim::CreditClass::Completion,
             };
             let bytes = self.cfg.credit_unit.credit_for(pkt);
-            ctx.send_at(pkt.ingress_link, at, Msg::Credit { class, bytes });
+            ctx.send_at(pkt.ingress_link, at, Msg::credit(class, bytes));
             pkt.ingress_link = ModuleId::INVALID;
         }
     }

@@ -87,7 +87,10 @@ impl Default for PcieSwitchConfig {
 /// backpressure propagates hop by hop.
 pub struct PcieSwitch {
     name: String,
-    cfg: PcieSwitchConfig,
+    /// `PcieSwitchConfig::latency_ns` in ticks, converted at construction.
+    latency: Tick,
+    /// `PcieSwitchConfig::tlp_proc_ns` in ticks, converted at construction.
+    tlp_proc: Tick,
     up_link: ModuleId,
     ports: Vec<SwitchPort>,
     proc_free: Tick,
@@ -103,7 +106,8 @@ impl PcieSwitch {
     pub fn new(name: &str, cfg: PcieSwitchConfig, up_link: ModuleId) -> Self {
         PcieSwitch {
             name: name.to_string(),
-            cfg,
+            latency: units::ns(cfg.latency_ns),
+            tlp_proc: units::ns(cfg.tlp_proc_ns),
             up_link,
             ports: Vec::new(),
             proc_free: 0,
@@ -160,9 +164,9 @@ impl Module for PcieSwitch {
         };
         // Pipelined TLP-rate limit.
         let proc_start = self.proc_free.max(ctx.now());
-        self.proc_free = proc_start + units::ns(self.cfg.tlp_proc_ns);
+        self.proc_free = proc_start + self.tlp_proc;
         self.proc_stall_ns += units::to_ns(proc_start - ctx.now());
-        let out_at = proc_start + units::ns(self.cfg.latency_ns);
+        let out_at = proc_start + self.latency;
 
         let (egress, down) = if pkt.cmd.is_request() {
             pkt.route.push(ctx.self_id());

@@ -34,6 +34,10 @@ impl Default for XbarConfig {
 pub struct Xbar {
     name: String,
     cfg: XbarConfig,
+    /// Clock period in ticks, converted once at construction.
+    period: Tick,
+    /// `cfg.latency_ns` in ticks, converted once at construction.
+    latency: Tick,
     routes: Vec<(AddrRange, ModuleId)>,
     default_dst: ModuleId,
     next_free: Tick,
@@ -48,6 +52,8 @@ impl Xbar {
         Xbar {
             name: name.to_string(),
             cfg,
+            period: units::clock_period_ghz(cfg.freq_ghz),
+            latency: units::ns(cfg.latency_ns),
             routes: Vec::new(),
             default_dst,
             next_free: 0,
@@ -88,7 +94,7 @@ impl Xbar {
 
     fn occupancy(&self, bytes: u32) -> Tick {
         let cycles = bytes.div_ceil(self.cfg.width_bytes).max(1) as u64;
-        cycles * units::clock_period_ghz(self.cfg.freq_ghz)
+        cycles * self.period
     }
 }
 
@@ -108,7 +114,7 @@ impl Module for Xbar {
         let start = self.next_free.max(ctx.now());
         self.next_free = start + occ;
         self.busy += occ;
-        let out_at = start + occ + units::ns(self.cfg.latency_ns);
+        let out_at = start + occ + self.latency;
 
         if pkt.cmd.is_request() {
             let dst = self.route(pkt.addr);

@@ -1,19 +1,17 @@
 //! The event kernel: ordered event queue plus the module registry.
 
-use crate::domain::DomainPlan;
 use crate::{EventQueue, Module, ModuleId, Msg, Stats, Tick, Tracer};
 
 /// The payload carried by every event-queue node: destination module plus
-/// the message. Kept alongside `Msg`'s own 24-byte guard because the
-/// queue moves this tuple on every push/pop/sort.
+/// the message. The queue moves this tuple on every push/pop/sort.
 pub(crate) type Ev = (ModuleId, Msg);
 
-// Compile-time regression guard (companion to the `Msg <= 24` assert in
-// `msg.rs`): `ModuleId` padding brings the node payload to 32 bytes, and
+// Compile-time regression guard (companion to the `Msg == 16` assert in
+// `msg.rs`): `ModuleId` padding brings the node payload to 24 bytes, and
 // nothing may push it past that.
 const _: () = assert!(
-    std::mem::size_of::<Ev>() <= 32,
-    "event payload grew past 32 bytes"
+    std::mem::size_of::<Ev>() <= 24,
+    "event payload grew past 24 bytes"
 );
 
 /// Error returned by [`Kernel::run_until_idle`] and friends.
@@ -69,42 +67,21 @@ impl Default for RunLimit {
     }
 }
 
-/// Where a context's sends go.
-///
-/// The sequential hot loop hands handlers a [`Sink::Direct`] view of the
-/// event queue: each send is stamped with the kernel sequence counter *at
-/// call time* and pushed immediately, skipping the old buffer-then-drain
-/// round trip. Call order equals the old drain order, so the `(tick, seq)`
-/// total order — and therefore every observable result — is identical.
-/// The parallel domain engine (and the perf harness's pre-change
-/// reconstruction) still need sends collected for replay, which is what
-/// [`Sink::Buffered`] provides.
-pub(crate) enum Sink<'a> {
-    /// Collect sends; the caller commits (or discards) them after the
-    /// handler returns.
-    Buffered(&'a mut Vec<(Tick, ModuleId, Msg)>),
-    /// Push sends straight into the event queue, stamping `seq` in call
-    /// order and maintaining the kernel's depth statistics.
-    Direct {
-        queue: &'a mut EventQueue<Ev>,
-        seq: &'a mut u64,
-        virt_len: &'a mut usize,
-        virt_peak: &'a mut usize,
-        module_count: usize,
-    },
-}
-
 /// Per-delivery context handed to [`Module::handle`].
 ///
 /// Lets the module read time, learn its own id, allocate packet ids and
-/// schedule outgoing messages. Sends are sequence-stamped in call order,
-/// so simultaneous deliveries stay deterministic; if a handler panics
-/// mid-flight, its partial sends are discarded before the kernel resumes
-/// (callers may `catch_unwind` around a run).
+/// schedule outgoing messages. Each send is stamped with the kernel's
+/// sequence counter at call time and pushed straight into the event
+/// queue, so simultaneous deliveries drain in call order and stay
+/// deterministic. If a handler panics mid-flight, its partial sends are
+/// discarded before the kernel resumes (callers may `catch_unwind` around
+/// a run).
 pub struct Ctx<'a> {
     now: Tick,
     self_id: ModuleId,
-    sink: Sink<'a>,
+    queue: &'a mut EventQueue<Ev>,
+    seq: &'a mut u64,
+    module_count: usize,
     next_pkt_id: &'a mut u64,
 }
 
@@ -126,28 +103,26 @@ impl Ctx<'_> {
         id
     }
 
-    /// Append one send to the sink (common tail of the `send` family).
-    #[inline]
+    /// Stamp one send and push it into the queue (common tail of the
+    /// `send` family).
+    #[inline(always)]
     fn push(&mut self, when: Tick, dst: ModuleId, msg: Msg) {
-        match &mut self.sink {
-            Sink::Buffered(out) => out.push((when, dst, msg)),
-            Sink::Direct {
-                queue,
-                seq,
-                virt_len,
-                virt_peak,
-                module_count,
-            } => {
-                assert!(
-                    dst.index() < *module_count,
-                    "message sent to unknown module {dst}"
-                );
-                queue.push(when, **seq, (dst, msg));
-                **seq += 1;
-                **virt_len += 1;
-                **virt_peak = (**virt_peak).max(**virt_len);
-            }
+        // One compare covers both wiring bugs: `ModuleId::INVALID` is
+        // past every registered index.
+        if dst.index() >= self.module_count {
+            self.bad_destination(dst);
         }
+        self.queue.push(when, *self.seq, (dst, msg));
+        *self.seq += 1;
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn bad_destination(&self, dst: ModuleId) -> ! {
+        if dst.is_valid() {
+            panic!("message sent to unknown module {dst}");
+        }
+        panic!("send to unwired port from {}", self.self_id);
     }
 
     /// Deliver `msg` to `dst` after `delay` ticks.
@@ -185,41 +160,24 @@ impl Ctx<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is [`ModuleId::INVALID`], which indicates a wiring
-    /// bug in the system builder.
+    /// Panics if `dst` is [`ModuleId::INVALID`] or not registered with
+    /// this kernel, which indicates a wiring bug in the system builder.
+    #[inline(always)]
     pub fn send(&mut self, dst: ModuleId, delay: Tick, msg: Msg) {
-        assert!(dst.is_valid(), "send to unwired port from {}", self.self_id);
-        let when = self.now + delay;
-        self.push(when, dst, msg);
+        self.push(self.now + delay, dst, msg);
     }
 
     /// Deliver `msg` to `dst` at absolute time `at` (clamped to `now`).
+    #[inline(always)]
     pub fn send_at(&mut self, dst: ModuleId, at: Tick, msg: Msg) {
-        let at = at.max(self.now);
-        assert!(dst.is_valid(), "send to unwired port from {}", self.self_id);
-        self.push(at, dst, msg);
+        self.push(at.max(self.now), dst, msg);
     }
 
     /// Schedule a [`Msg::Timer`] to self after `delay` ticks.
+    #[inline(always)]
     pub fn timer(&mut self, delay: Tick, tag: u64) {
         let dst = self.self_id;
         self.send(dst, delay, Msg::Timer(tag));
-    }
-
-    /// Build a context for a delivery outside the sequential hot loop
-    /// (the parallel domain engine drives handlers through this).
-    pub(crate) fn internal<'a>(
-        now: Tick,
-        self_id: ModuleId,
-        out: &'a mut Vec<(Tick, ModuleId, Msg)>,
-        next_pkt_id: &'a mut u64,
-    ) -> Ctx<'a> {
-        Ctx {
-            now,
-            self_id,
-            sink: Sink::Buffered(out),
-            next_pkt_id,
-        }
     }
 }
 
@@ -266,39 +224,19 @@ impl Ctx<'_> {
 /// assert_eq!(kernel.stats().get("counter.fired"), Some(2.0));
 /// ```
 pub struct Kernel {
-    pub(crate) time: Tick,
-    pub(crate) seq: u64,
-    pub(crate) next_pkt_id: u64,
-    pub(crate) queue: EventQueue<Ev>,
-    pub(crate) modules: Vec<Box<dyn Module>>,
-    pub(crate) events_processed: u64,
-    pub(crate) out_buf: Vec<(Tick, ModuleId, Msg)>,
-    pub(crate) tracer: Option<Box<dyn Tracer>>,
-    /// Domain partition installed by [`Kernel::set_partition`]; `None`
-    /// runs the classic sequential loop.
-    pub(crate) plan: Option<DomainPlan>,
-    /// Pending-event count mirrored outside the queue(s), so depth
-    /// statistics stay well-defined when events live in per-domain
-    /// queues during a parallel run.
-    pub(crate) virt_len: usize,
-    /// High-water mark of [`Kernel::virt_len`]; tracks the sequential
-    /// queue's own peak exactly (events enter and leave one at a time).
-    pub(crate) virt_peak: usize,
-    /// When enabled, records `(tick, seq, module index)` for every
-    /// delivered event, in commit order — the determinism tests compare
-    /// these streams across engine configurations.
-    pub(crate) order_probe: Option<Vec<(Tick, u64, u32)>>,
+    time: Tick,
+    seq: u64,
+    next_pkt_id: u64,
+    queue: EventQueue<Ev>,
+    modules: Vec<Box<dyn Module>>,
+    events_processed: u64,
+    tracer: Option<Box<dyn Tracer>>,
     /// First sequence number the currently running handler may stamp.
-    /// Set before each direct-sink dispatch and cleared when the handler
-    /// returns; if a panic unwinds past `run`, the surviving mark tells
-    /// the next `run`/`schedule` which queued events to strip (the
-    /// aborted handler's partial sends).
-    pub(crate) panic_strip_from: Option<u64>,
-    /// Route handler sends through the pre-change buffer-then-drain path
-    /// instead of the direct sink (behaviourally identical, only
-    /// slower); the perf harness flips this to reconstruct the
-    /// pre-change kernel in-process.
-    pub(crate) buffered_compat: bool,
+    /// Set before each dispatch and cleared when the handler returns; if
+    /// a panic unwinds past `run`, the surviving mark tells the next
+    /// `run`/`schedule` which queued events to strip (the aborted
+    /// handler's partial sends).
+    panic_strip_from: Option<u64>,
 }
 
 impl Default for Kernel {
@@ -317,41 +255,9 @@ impl Kernel {
             queue: EventQueue::new(),
             modules: Vec::new(),
             events_processed: 0,
-            out_buf: Vec::new(),
             tracer: None,
-            plan: None,
-            virt_len: 0,
-            virt_peak: 0,
-            order_probe: None,
             panic_strip_from: None,
-            buffered_compat: false,
         }
-    }
-
-    /// Route sends through the pre-change buffered path (perf-harness
-    /// reconstruction; observable results are identical).
-    #[doc(hidden)]
-    pub fn set_buffered_compat(&mut self, on: bool) {
-        self.buffered_compat = on;
-    }
-
-    /// Start recording the `(tick, seq, module)` commit order of every
-    /// delivered event (determinism diagnostics; cleared on each call).
-    #[doc(hidden)]
-    pub fn enable_order_probe(&mut self) {
-        self.order_probe = Some(Vec::new());
-    }
-
-    /// Take the recorded commit order (empty if the probe is disabled).
-    #[doc(hidden)]
-    pub fn take_order_probe(&mut self) -> Vec<(Tick, u64, u32)> {
-        self.order_probe.take().unwrap_or_default()
-    }
-
-    /// Name of the module at raw index `i` (probe diagnostics).
-    #[doc(hidden)]
-    pub fn module_name_of(&self, i: usize) -> &str {
-        self.modules[i].name()
     }
 
     /// Install an event [`Tracer`] (replacing any previous one).
@@ -381,10 +287,6 @@ impl Kernel {
     /// would silently merge two modules' counters.
     pub fn add_module(&mut self, module: Box<dyn Module>) -> ModuleId {
         self.assert_unique_name(module.name(), None);
-        // A new module invalidates any installed domain partition (it
-        // would not be covered by any domain); drop back to sequential
-        // until set_partition is called again.
-        self.plan = None;
         let id = ModuleId::from_index(self.modules.len());
         self.modules.push(module);
         id
@@ -464,7 +366,7 @@ impl Kernel {
     /// High-water mark of the event queue (pending events), for capacity
     /// planning and the perf harness.
     pub fn peak_queue_depth(&self) -> usize {
-        self.virt_peak
+        self.queue.peak_len()
     }
 
     /// Strip events that a panicking handler pushed into the queue
@@ -479,8 +381,6 @@ impl Kernel {
         for (when, seq, payload) in self.queue.drain_all() {
             if seq < mark {
                 self.queue.push(when, seq, payload);
-            } else {
-                self.virt_len -= 1;
             }
         }
     }
@@ -498,8 +398,6 @@ impl Kernel {
         self.discard_aborted_sends();
         self.queue.push(at.max(self.time), self.seq, (dst, msg));
         self.seq += 1;
-        self.virt_len += 1;
-        self.virt_peak = self.virt_peak.max(self.virt_len);
     }
 
     /// Run until the event queue drains, with default [`RunLimit`]s.
@@ -524,109 +422,62 @@ impl Kernel {
     /// Returns [`SimError::EventLimitExceeded`] if `limit.max_events` is
     /// exhausted before the queue drains.
     pub fn run(&mut self, limit: RunLimit) -> Result<Tick, SimError> {
-        // A multi-domain partition with threads > 1 runs on the parallel
-        // engine; a tracer forces the sequential loop (tracers observe
-        // deliveries in drain order, which only the sequential loop
-        // produces directly — results are identical either way).
-        if self
-            .plan
-            .as_ref()
-            .is_some_and(|p| p.threads > 1 && p.domains.len() > 1)
-            && self.tracer.is_none()
-        {
-            return self.run_parallel(limit);
-        }
         // If a previous run was aborted by a handler panic (callers may
         // catch_unwind around a run), the aborted handler's partial sends
         // are already committed to the queue; strip them rather than
-        // deliver them as if the handler had completed. (The buffered
-        // compat path leaves its partial sends in `out_buf` instead.)
+        // deliver them as if the handler had completed.
         self.discard_aborted_sends();
-        self.out_buf.clear();
         // Saturating: max_events = u64::MAX means "unlimited" and must
         // not overflow when added to a prior run's event count.
         let budget_end = self.events_processed.saturating_add(limit.max_events);
-        while let Some(when) = self.queue.peek_when() {
+        // Disjoint field borrows: handlers push into the queue while
+        // `modules` is borrowed, with no per-event `mem::take` round-trip.
+        let Kernel {
+            time,
+            seq,
+            next_pkt_id,
+            queue,
+            modules,
+            events_processed,
+            tracer,
+            panic_strip_from,
+        } = self;
+        let module_count = modules.len();
+        while let Some(when) = queue.peek_when() {
             if when > limit.max_time {
                 break;
             }
-            if self.events_processed >= budget_end {
+            if *events_processed >= budget_end {
                 return Err(SimError::EventLimitExceeded {
                     limit: limit.max_events,
-                    at: self.time,
+                    at: *time,
                 });
             }
-            let (when, eseq, (dst, msg)) = self.queue.pop().expect("peeked event vanished");
-            if let Some(probe) = self.order_probe.as_mut() {
-                probe.push((when, eseq, dst.index() as u32));
+            let (when, _, (dst, msg)) = queue.pop().expect("peeked event vanished");
+            debug_assert!(when >= *time, "time went backwards");
+            *time = when;
+            *events_processed += 1;
+            let module = modules
+                .get_mut(dst.index())
+                .unwrap_or_else(|| panic!("event for unknown module {dst}"));
+            if let Some(tracer) = tracer.as_mut() {
+                tracer.on_event(when, dst, module.name(), &msg);
             }
-            debug_assert!(when >= self.time, "time went backwards");
-            self.time = when;
-            self.events_processed += 1;
-            self.virt_len -= 1;
-
-            {
-                // Disjoint field borrows: the handler pushes into the
-                // queue (or `out_buf`) while `modules` is borrowed, with
-                // no per-event `mem::take` round-trip.
-                let Kernel {
-                    time,
-                    seq,
-                    next_pkt_id,
-                    queue,
-                    modules,
-                    out_buf,
-                    tracer,
-                    virt_len,
-                    virt_peak,
-                    panic_strip_from,
-                    buffered_compat,
-                    ..
-                } = self;
-                let module_count = modules.len();
-                let module = modules
-                    .get_mut(dst.index())
-                    .unwrap_or_else(|| panic!("event for unknown module {dst}"));
-                if let Some(tracer) = tracer.as_mut() {
-                    tracer.on_event(when, dst, module.name(), &msg);
-                }
-                // Anything the handler stamps from here on is struck from
-                // the queue if it panics (see discard_aborted_sends).
-                *panic_strip_from = Some(*seq);
-                let sink = if *buffered_compat {
-                    Sink::Buffered(out_buf)
-                } else {
-                    Sink::Direct {
-                        queue,
-                        seq,
-                        virt_len,
-                        virt_peak,
-                        module_count,
-                    }
-                };
-                let mut ctx = Ctx {
-                    now: *time,
-                    self_id: dst,
-                    sink,
-                    next_pkt_id,
-                };
-                module.handle(msg, &mut ctx);
-                *panic_strip_from = None;
-            }
-            if self.buffered_compat {
-                for (when, dst, msg) in self.out_buf.drain(..) {
-                    assert!(
-                        dst.index() < self.modules.len(),
-                        "message sent to unknown module {dst}"
-                    );
-                    self.queue.push(when, self.seq, (dst, msg));
-                    self.seq += 1;
-                    self.virt_len += 1;
-                    self.virt_peak = self.virt_peak.max(self.virt_len);
-                }
-            }
+            // Anything the handler stamps from here on is struck from the
+            // queue if it panics (see discard_aborted_sends).
+            *panic_strip_from = Some(*seq);
+            let mut ctx = Ctx {
+                now: when,
+                self_id: dst,
+                queue,
+                seq,
+                module_count,
+                next_pkt_id,
+            };
+            module.handle(msg, &mut ctx);
+            *panic_strip_from = None;
         }
-        Ok(self.time)
+        Ok(*time)
     }
 
     /// Downcast a module by id.
@@ -654,7 +505,7 @@ impl Kernel {
         }
         all.add("kernel.events", self.events_processed as f64);
         all.add("kernel.final_tick", self.time as f64);
-        all.add("kernel.peak_queue_depth", self.virt_peak as f64);
+        all.add("kernel.peak_queue_depth", self.queue.peak_len() as f64);
         all
     }
 }

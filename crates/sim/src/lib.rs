@@ -30,7 +30,6 @@
 //! ```
 #![warn(missing_docs)]
 
-mod domain;
 pub mod fxmap;
 mod hist;
 mod kernel;
@@ -65,7 +64,7 @@ pub mod streams {
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use hist::Histogram;
 pub use kernel::{Ctx, Kernel, RunLimit, SimError};
-pub use msg::{CreditClass, Msg};
+pub use msg::{Credit, CreditClass, Msg};
 pub use packet::{MemCmd, Packet, RouteStack, MAX_ROUTE_DEPTH};
 pub use pool::{PacketBox, PacketPool, PoolStats};
 pub use sched::{BaselineQueue, EventQueue};
@@ -138,9 +137,9 @@ impl<T: 'static> AsAny for T {
 /// to [`Msg`]s delivered by the [`Kernel`]. Outgoing messages are scheduled
 /// through the [`Ctx`] passed to [`Module::handle`].
 ///
-/// Modules must be [`Send`]: the parallel domain engine (see
-/// [`Kernel::set_partition`]) moves each domain's modules onto a worker
-/// thread for the duration of a run.
+/// Modules must be [`Send`]: a whole simulation is built on one thread
+/// and may run on another (sweep points and fleet host shards run on the
+/// `accesys-exp` worker pool).
 pub trait Module: AsAny + Send + 'static {
     /// Short instance name used to prefix statistics (e.g. `"pcie.rc"`).
     fn name(&self) -> &str;

@@ -13,11 +13,12 @@
 //! the `perf` bin's allocation-counting harness measures exactly this as
 //! `steady_state_allocs_per_event`.
 //!
-//! The free list is thread-local on purpose: the parallel domain engine
-//! (see [`crate::Kernel::set_partition`]) moves packets across worker
-//! threads, and a thread-local list needs no locks — a box freed on a
-//! different thread from where it was allocated simply joins that
-//! thread's pool. Recycling never changes observable behaviour:
+//! The free list is thread-local on purpose: every kernel runs on one
+//! thread (parallel sweeps run whole simulations side by side on the
+//! `accesys-exp` pool), so a thread-local list needs no locks. A box
+//! freed on a different thread from where it was allocated — a packet
+//! that outlives its simulation and is dropped elsewhere — simply joins
+//! that thread's pool. Recycling never changes observable behaviour:
 //! [`PacketPool::alloc`] overwrites the full [`Packet`] value before
 //! handing the box out, so a recycled packet is byte-identical to a
 //! freshly boxed one (property-tested in `tests/pool.rs`).

@@ -186,6 +186,11 @@ impl<T> EventQueue<T> {
 
     /// Append one event. `seq` must be unique; `(when, seq)` must not
     /// precede the last popped event (debug-asserted).
+    ///
+    /// Inlined into every send site: the common case is an append to an
+    /// unsorted near bucket; inserts into the cursor's sorted bucket and
+    /// far-heap pushes take the out-of-line `push_slow`.
+    #[inline(always)]
     pub fn push(&mut self, when: Tick, seq: u64, payload: T) {
         debug_assert!(
             Self::bucket_no(when) >= self.base_bucket,
@@ -199,13 +204,26 @@ impl<T> EventQueue<T> {
         // degrades gracefully: it lands in the current bucket and pops
         // almost immediately, matching the plain heap's behaviour.
         let bucket = Self::bucket_no(when).max(self.base_bucket);
+        if bucket < self.base_bucket + NUM_BUCKETS as u64 && self.sorted_bucket != Some(bucket) {
+            let slot = (bucket % NUM_BUCKETS as u64) as usize;
+            self.buckets[slot].push(entry);
+            self.set_bit(slot);
+        } else {
+            self.push_slow(bucket, entry);
+        }
+        self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
+    }
+
+    /// The rest of [`EventQueue::push`], kept out of line so the inlined
+    /// fast path stays small.
+    #[inline(never)]
+    fn push_slow(&mut self, bucket: u64, entry: Entry<T>) {
         if bucket < self.base_bucket + NUM_BUCKETS as u64 {
             self.ring_insert(bucket, entry);
         } else {
             self.far.push(FarEntry(entry));
         }
-        self.len += 1;
-        self.peak_len = self.peak_len.max(self.len);
     }
 
     fn ring_insert(&mut self, bucket: u64, entry: Entry<T>) {
@@ -251,6 +269,7 @@ impl<T> EventQueue<T> {
 
     /// Locate the slot holding the earliest event, sorting it if needed.
     /// Returns `None` when the ring is empty (the far heap may not be).
+    #[inline]
     fn front_slot(&mut self) -> Option<usize> {
         let start = (self.base_bucket % NUM_BUCKETS as u64) as usize;
         let slot = self.next_occupied(start)?;
@@ -264,6 +283,7 @@ impl<T> EventQueue<T> {
     ///
     /// Takes `&mut self` because it may lazily sort the front bucket
     /// (and caches the located front for the next [`EventQueue::pop`]).
+    #[inline]
     pub fn peek_when(&mut self) -> Option<Tick> {
         if self.len == 0 {
             return None;
@@ -282,10 +302,10 @@ impl<T> EventQueue<T> {
     ///
     /// Unlike pop-draining, rewinding means the emptied queue can
     /// immediately accept re-pushes at *any* tick — pops would have
-    /// advanced `base_bucket` past earlier events. The parallel domain
-    /// engine ([`crate::Kernel::set_partition`]) uses this to deal the
-    /// main queue out to per-domain queues at the start of a run and to
-    /// collect leftovers back afterwards.
+    /// advanced `base_bucket` past earlier events. The kernel uses this to
+    /// strip an aborted handler's partial sends: it drains everything and
+    /// re-pushes the survivors, which leaves [`EventQueue::peak_len`]
+    /// untouched.
     pub fn drain_all(&mut self) -> Vec<(Tick, u64, T)> {
         let mut out = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
@@ -305,6 +325,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Remove and return the earliest event as `(when, seq, payload)`.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Tick, u64, T)> {
         if self.len == 0 {
             return None;

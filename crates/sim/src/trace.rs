@@ -47,14 +47,14 @@ pub struct TraceRow {
 /// ```
 /// use accesys_sim::{Kernel, MemCmd, Msg, Packet, PacketTrace};
 /// # use accesys_sim::{Ctx, Module};
-/// # struct Sink;
-/// # impl Module for Sink {
+/// # struct Receiver;
+/// # impl Module for Receiver {
 /// #     fn name(&self) -> &str { "mem0" }
 /// #     fn handle(&mut self, _msg: Msg, _ctx: &mut Ctx) {}
 /// # }
 ///
 /// let mut kernel = Kernel::new();
-/// let sink = kernel.add_module(Box::new(Sink));
+/// let sink = kernel.add_module(Box::new(Receiver));
 /// kernel.set_tracer(Box::new(PacketTrace::new(1024).with_filter("mem")));
 /// kernel.schedule(0, sink, Msg::packet(Packet::request(0, MemCmd::ReadReq, 0x80, 64, 0)));
 /// kernel.run_until_idle().unwrap();

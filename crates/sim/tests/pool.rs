@@ -18,7 +18,7 @@ use accesys_sim::{
     Ctx, Kernel, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, PacketPool, Tick,
 };
 
-/// Deterministic 64-bit LCG (same constants as the domain tests).
+/// Deterministic 64-bit LCG (Knuth MMIX constants).
 struct Lcg(u64);
 
 impl Lcg {

@@ -109,6 +109,8 @@ struct Walk {
 pub struct Smmu {
     name: String,
     cfg: SmmuConfig,
+    /// `cfg.tlb_latency_ns` in ticks, converted once at construction.
+    tlb_latency: Tick,
     downstream: ModuleId,
     /// vpn -> lru tick.
     tlb: FxHashMap<u64, u64>,
@@ -131,6 +133,7 @@ impl Smmu {
         Smmu {
             name: name.to_string(),
             cfg,
+            tlb_latency: units::ns(cfg.tlb_latency_ns),
             downstream,
             tlb: FxHashMap::default(),
             lru_clock: 0,
@@ -240,11 +243,7 @@ impl Smmu {
         pkt.addr = self.translate(pkt.addr);
         pkt.virt = false;
         pkt.route.push(ctx.self_id());
-        ctx.send(
-            self.downstream,
-            units::ns(self.cfg.tlb_latency_ns),
-            Msg::Packet(pkt),
-        );
+        ctx.send(self.downstream, self.tlb_latency, Msg::Packet(pkt));
     }
 
     fn start_walk(&mut self, pkt: PacketBox, arrived: Tick, ctx: &mut Ctx) {
@@ -341,11 +340,7 @@ impl Module for Smmu {
             if !pkt.virt {
                 // Untranslated traffic passes straight through.
                 pkt.route.push(ctx.self_id());
-                ctx.send(
-                    self.downstream,
-                    units::ns(self.cfg.tlb_latency_ns),
-                    Msg::Packet(pkt),
-                );
+                ctx.send(self.downstream, self.tlb_latency, Msg::Packet(pkt));
                 return;
             }
             self.stats.utlb_lookups += 1;

@@ -58,12 +58,8 @@ pub fn resolve(doc: &Document) -> Result<Scenario, SpecError> {
 // Per-kind resolvers.
 
 fn resolve_roofline(doc: &Document, name: String) -> Result<Scenario, SpecError> {
-    known_sections(
-        doc,
-        &["scenario", "topology", "workload", "sweep", "kernel"],
-    )?;
-    let mut system = resolve_system(doc, "topology", false)?;
-    system.kernel_threads = resolve_kernel(doc)?;
+    known_sections(doc, &["scenario", "topology", "workload", "sweep"])?;
+    let system = resolve_system(doc, "topology", false)?;
     let workload = need_section(doc, "workload")?;
     known_keys(workload, &["kind", "matrix", "matrix_full"])?;
     need_workload_kind(workload, "gemm")?;
@@ -99,24 +95,20 @@ fn resolve_topo(doc: &Document, name: String) -> Result<Scenario, SpecError> {
             "topology.transfer_bound",
             "workload",
             "sweep",
-            "kernel",
         ],
     )?;
-    let kernel_threads = resolve_kernel(doc)?;
     let base = partial_system(doc, "topology", true)?;
-    let mut compute_bound = finish_system(
+    let compute_bound = finish_system(
         merge_system(&base, &partial_system(doc, "topology.compute_bound", true)?),
         "topology.compute_bound",
     )?;
-    let mut transfer_bound = finish_system(
+    let transfer_bound = finish_system(
         merge_system(
             &base,
             &partial_system(doc, "topology.transfer_bound", true)?,
         ),
         "topology.transfer_bound",
     )?;
-    compute_bound.kernel_threads = kernel_threads;
-    transfer_bound.kernel_threads = kernel_threads;
     let workload = need_section(doc, "workload")?;
     known_keys(workload, &["kind", "matrix", "matrix_full"])?;
     need_workload_kind(workload, "gemm_sharded")?;
@@ -137,12 +129,8 @@ fn resolve_topo(doc: &Document, name: String) -> Result<Scenario, SpecError> {
 }
 
 fn resolve_pipeline(doc: &Document, name: String) -> Result<Scenario, SpecError> {
-    known_sections(
-        doc,
-        &["scenario", "topology", "workload", "sweep", "kernel"],
-    )?;
-    let mut system = resolve_system(doc, "topology", true)?;
-    system.kernel_threads = resolve_kernel(doc)?;
+    known_sections(doc, &["scenario", "topology", "workload", "sweep"])?;
+    let system = resolve_system(doc, "topology", true)?;
     let workload = need_section(doc, "workload")?;
     known_keys(
         workload,
@@ -237,11 +225,10 @@ fn resolve_serving(doc: &Document, name: String) -> Result<Scenario, SpecError> 
     known_sections(
         doc,
         &[
-            "scenario", "topology", "workload", "traffic", "policy", "sweep", "kernel",
+            "scenario", "topology", "workload", "traffic", "policy", "sweep",
         ],
     )?;
-    let mut system = resolve_system(doc, "topology", true)?;
-    system.kernel_threads = resolve_kernel(doc)?;
+    let system = resolve_system(doc, "topology", true)?;
     let workload = need_section(doc, "workload")?;
     known_keys(
         workload,
@@ -277,11 +264,10 @@ fn resolve_decode(doc: &Document, name: String) -> Result<Scenario, SpecError> {
     known_sections(
         doc,
         &[
-            "scenario", "topology", "workload", "traffic", "policy", "kv", "sweep", "kernel",
+            "scenario", "topology", "workload", "traffic", "policy", "kv", "sweep",
         ],
     )?;
-    let mut system = resolve_system(doc, "topology", true)?;
-    system.kernel_threads = resolve_kernel(doc)?;
+    let system = resolve_system(doc, "topology", true)?;
     let workload = need_section(doc, "workload")?;
     known_keys(
         workload,
@@ -371,11 +357,10 @@ fn resolve_fleet(doc: &Document, name: String) -> Result<Scenario, SpecError> {
     known_sections(
         doc,
         &[
-            "scenario", "topology", "workload", "traffic", "policy", "fleet", "sweep", "kernel",
+            "scenario", "topology", "workload", "traffic", "policy", "fleet", "sweep",
         ],
     )?;
-    let mut system = resolve_system(doc, "topology", true)?;
-    system.kernel_threads = resolve_kernel(doc)?;
+    let system = resolve_system(doc, "topology", true)?;
     // Hosts are identical by construction; a per-leaf list has no
     // meaning when the same tree is stamped out `hosts` times.
     if system.leaves.is_some() {
@@ -593,39 +578,7 @@ fn finish_system(p: PartialSystem, section: &str) -> Result<SystemSpec, SpecErro
         smmu: p.smmu.unwrap_or(true),
         devmem: p.devmem.flatten(),
         leaves: p.leaves.map(|(l, _)| l),
-        kernel_threads: None,
     })
-}
-
-/// Upper bound on `[kernel] threads` the validator accepts; far above
-/// any domain count a valid topology can produce (the address map caps
-/// endpoints at [`MAX_ACCELS`]), so a larger value is a typo.
-const MAX_KERNEL_THREADS: u32 = 512;
-
-/// The optional `[kernel]` section: execution knobs. `threads` picks
-/// the parallel domain engine's worker count (1 = sequential); it
-/// never changes observable results, only wall-clock.
-fn resolve_kernel(doc: &Document) -> Result<Option<u32>, SpecError> {
-    let Some(section) = doc.section("kernel") else {
-        return Ok(None);
-    };
-    known_keys(section, &["threads"])?;
-    let (threads, line) = need_u32(section, "threads")?;
-    if threads == 0 {
-        return Err(invalid(
-            line,
-            "kernel.threads",
-            "must be positive (1 = sequential)",
-        ));
-    }
-    if threads > MAX_KERNEL_THREADS {
-        return Err(invalid(
-            line,
-            "kernel.threads",
-            &format!("is {threads}, over the engine cap of {MAX_KERNEL_THREADS} threads"),
-        ));
-    }
-    Ok(Some(threads))
 }
 
 /// An explicit `leaves` list must match every swept shape's endpoint

@@ -90,11 +90,6 @@ pub struct SystemSpec {
     /// `devmem` position by position; `None` entries mean no local
     /// memory. Length is validated against every swept shape.
     pub leaves: Option<Vec<Option<MemTech>>>,
-    /// Parallel-kernel worker threads (`[kernel] threads`), if the spec
-    /// set them; `None` keeps the [`SystemConfig`] default
-    /// (`ACCESYS_KERNEL_THREADS`, else 1). Results are byte-identical
-    /// at any thread count.
-    pub kernel_threads: Option<u32>,
 }
 
 impl SystemSpec {
@@ -106,9 +101,6 @@ impl SystemSpec {
         }
         if !self.smmu {
             cfg.smmu = None;
-        }
-        if let Some(threads) = self.kernel_threads {
-            cfg.kernel_threads = threads;
         }
         cfg
     }
@@ -532,23 +524,6 @@ impl Scenario {
             Scenario::Serving(s) => &s.shapes,
             Scenario::Decode(s) => &s.shapes,
             Scenario::Fleet(s) => &s.shapes,
-        }
-    }
-
-    /// Override the parallel-kernel thread count on every system this
-    /// scenario builds (the `--kernel-threads` CLI flag; wins over the
-    /// spec's own `[kernel] threads`). Results stay byte-identical.
-    pub fn set_kernel_threads(&mut self, threads: u32) {
-        match self {
-            Scenario::Roofline(s) => s.system.kernel_threads = Some(threads),
-            Scenario::Topo(s) => {
-                s.compute_bound.kernel_threads = Some(threads);
-                s.transfer_bound.kernel_threads = Some(threads);
-            }
-            Scenario::Pipeline(s) => s.system.kernel_threads = Some(threads),
-            Scenario::Serving(s) => s.system.kernel_threads = Some(threads),
-            Scenario::Decode(s) => s.system.kernel_threads = Some(threads),
-            Scenario::Fleet(s) => s.system.kernel_threads = Some(threads),
         }
     }
 }

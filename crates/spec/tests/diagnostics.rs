@@ -237,72 +237,19 @@ fn oversized_tree_shape_is_rejected_against_the_address_map_cap() {
     );
 }
 
-/// The baseline fixture plus a `[kernel]` section carrying `line`.
-fn with_kernel(line: &str) -> String {
-    format!("{ROOFLINE_OK}\n[kernel]\n{line}\n")
-}
-
 #[test]
-fn kernel_threads_resolves_onto_the_system() {
-    let spec = load_str(&with_kernel("threads = 4")).expect("kernel section loads");
-    let accesys_spec::Scenario::Roofline(sc) = &spec.scenario else {
-        panic!("fixture is a roofline scenario");
-    };
-    assert_eq!(sc.system.kernel_threads, Some(4));
-
-    // Absent section: the knob stays unset (SystemConfig default wins).
-    let spec = load_str(ROOFLINE_OK).expect("fixture loads");
-    let accesys_spec::Scenario::Roofline(sc) = &spec.scenario else {
-        panic!("fixture is a roofline scenario");
-    };
-    assert_eq!(sc.system.kernel_threads, None);
-}
-
-#[test]
-fn kernel_threads_zero_is_rejected() {
-    let text = with_kernel("threads = 0");
+fn a_kernel_section_is_an_unknown_section() {
+    // The simulator has one sequential event loop and no execution knobs,
+    // so `[kernel]` is not a section: it is a typed error at its header
+    // line, never a panic or a silently ignored section.
+    let text = format!("{ROOFLINE_OK}\n[kernel]\nthreads = 4\n");
     let err = expect_diag(
         &text,
-        "threads = 0",
-        Some("kernel.threads"),
-        "line 19: `kernel.threads` must be positive (1 = sequential)",
+        "[kernel]",
+        None,
+        "line 18: unknown section `[kernel]`",
     );
-    assert!(matches!(err, SpecError::Invalid { .. }));
-}
-
-#[test]
-fn kernel_threads_over_the_engine_cap_is_rejected() {
-    let text = with_kernel("threads = 4096");
-    expect_diag(
-        &text,
-        "threads = 4096",
-        Some("kernel.threads"),
-        "line 19: `kernel.threads` is 4096, over the engine cap of 512 threads",
-    );
-}
-
-#[test]
-fn kernel_threads_type_mismatch_is_a_typed_error() {
-    let text = with_kernel("threads = \"many\"");
-    let err = expect_diag(
-        &text,
-        "threads =",
-        Some("kernel.threads"),
-        "line 19: `kernel.threads` expects a non-negative integer, got a string",
-    );
-    assert!(matches!(err, SpecError::Type { .. }));
-}
-
-#[test]
-fn unknown_kernel_key_is_rejected() {
-    let text = with_kernel("cores = 4");
-    let err = expect_diag(
-        &text,
-        "cores = 4",
-        Some("kernel.cores"),
-        "line 19: unknown key `cores` in [kernel]",
-    );
-    assert!(matches!(err, SpecError::UnknownKey { .. }));
+    assert!(matches!(err, SpecError::UnknownSection { .. }));
 }
 
 // ---------------------------------------------------------------------
