@@ -1,7 +1,8 @@
 //! Set-associative write-back cache with MSHRs and optional coherence.
 
+use accesys_sim::FxHashMap;
 use accesys_sim::{units, Ctx, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, Stats, Tick};
-use accesys_sim::{FxHashMap, FxHashSet};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Geometry and timing of a [`Cache`].
@@ -114,7 +115,8 @@ impl Line {
 
 #[derive(Copy, Clone, Debug)]
 struct LineOp {
-    parent: u64,
+    /// Slot of the request this line belongs to in `Cache::parents`.
+    parent: u32,
     line_addr: u64,
     write: bool,
     side: CoherenceSide,
@@ -146,16 +148,23 @@ pub struct Cache {
     /// The tag array, flat: way `w` of set `s` is `lines[s * assoc + w]`.
     lines: Vec<Line>,
     lru_clock: u64,
-    /// line addr -> ops waiting on an in-flight fill.
-    mshrs: FxHashMap<u64, Vec<LineOp>>,
+    /// `(line addr, ops waiting on its in-flight fill)`, at most
+    /// `cfg.mshrs` (8-32) entries, found by a linear scan. Only lookups
+    /// and the count matter, never the order.
+    mshrs: Vec<(u64, Vec<LineOp>)>,
     /// Ops stalled because all MSHRs are busy.
     stalled: VecDeque<LineOp>,
-    parents: FxHashMap<u64, Parent>,
+    /// Requests with lines still in flight, as a slab indexed by
+    /// `LineOp::parent`; freed slots go on `free_parents` for reuse.
+    parents: Vec<Option<Parent>>,
+    free_parents: Vec<u32>,
     /// Coherence directory (LLC role only).
     coherent: Option<CoherentConfig>,
     /// Lines the CPU side has touched since its last snoop: the only
-    /// lines I/O traffic must probe the CPU cache for.
-    cpu_lines: FxHashSet<u64>,
+    /// lines I/O traffic must probe the CPU cache for. A paged bitmap:
+    /// line number `>> 6` -> one bit per line of that 64-line group; a
+    /// group's key goes when its last bit clears.
+    cpu_lines: FxHashMap<u64, u64>,
     probing: FxHashMap<u64, Vec<LineOp>>,
     /// Emptied waiter lists kept for reuse: every miss needs a fresh
     /// `Vec<LineOp>`, and recycling the retired ones keeps the steady
@@ -208,11 +217,12 @@ impl Cache {
             set_bits: cfg.num_sets().trailing_zeros(),
             lines: vec![Line::EMPTY; ways],
             lru_clock: 0,
-            mshrs: FxHashMap::default(),
+            mshrs: Vec::new(),
             stalled: VecDeque::new(),
-            parents: FxHashMap::default(),
+            parents: Vec::new(),
+            free_parents: Vec::new(),
             coherent: None,
-            cpu_lines: FxHashSet::default(),
+            cpu_lines: FxHashMap::default(),
             probing: FxHashMap::default(),
             spare_waiters: Vec::new(),
             hits: 0,
@@ -303,19 +313,29 @@ impl Cache {
         self.lines[i].lru = self.lru_clock;
     }
 
+    /// Park `parent` in a free slab slot and return the slot.
+    fn add_parent(&mut self, parent: Parent) -> u32 {
+        match self.free_parents.pop() {
+            Some(slot) => {
+                self.parents[slot as usize] = Some(parent);
+                slot
+            }
+            None => {
+                self.parents.push(Some(parent));
+                (self.parents.len() - 1) as u32
+            }
+        }
+    }
+
     /// One line of a parent request finished; respond upstream when all
     /// lines are done.
-    fn complete_line(&mut self, parent_id: u64, at: Tick, ctx: &mut Ctx) {
-        let done = {
-            let parent = self
-                .parents
-                .get_mut(&parent_id)
-                .expect("line completion without parent");
-            parent.remaining -= 1;
-            parent.remaining == 0
-        };
-        if done {
-            let parent = self.parents.remove(&parent_id).expect("checked above");
+    fn complete_line(&mut self, slot: u32, at: Tick, ctx: &mut Ctx) {
+        let entry = &mut self.parents[slot as usize];
+        let parent = entry.as_mut().expect("line completion without parent");
+        parent.remaining -= 1;
+        if parent.remaining == 0 {
+            let parent = entry.take().expect("checked above");
+            self.free_parents.push(slot);
             let mut pkt = parent.pkt;
             self.lat_sum_ns += units::to_ns(at.saturating_sub(parent.start));
             self.responses += 1;
@@ -392,7 +412,7 @@ impl Cache {
         if count {
             self.misses += 1;
         }
-        if let Some(waiters) = self.mshrs.get_mut(&op.line_addr) {
+        if let Some((_, waiters)) = self.mshrs.iter_mut().find(|(a, _)| *a == op.line_addr) {
             waiters.push(op);
             return;
         }
@@ -401,7 +421,7 @@ impl Cache {
             return;
         }
         let waiters = self.waiter_list(op);
-        self.mshrs.insert(op.line_addr, waiters);
+        self.mshrs.push((op.line_addr, waiters));
         let mut fill = Packet::request(
             ctx.alloc_pkt_id(),
             MemCmd::ReadReq,
@@ -413,9 +433,8 @@ impl Cache {
         // coherence point classifies CPU-vs-I/O side from it, so it must
         // reflect the original traffic class (never the packet id, which
         // is an equality-only match key).
-        fill.stream = self
-            .parents
-            .get(&op.parent)
+        fill.stream = self.parents[op.parent as usize]
+            .as_ref()
             .expect("miss for unknown parent")
             .pkt
             .stream;
@@ -423,18 +442,31 @@ impl Cache {
         ctx.send(self.downstream, self.lookup_ticks, Msg::packet(fill));
     }
 
+    /// `line_addr`'s `(group key, bit)` in the `cpu_lines` bitmap.
+    fn presence_bit(&self, line_addr: u64) -> (u64, u64) {
+        let line = line_addr >> self.line_shift;
+        (line >> 6, 1 << (line & 63))
+    }
+
     /// Track the lines the CPU side may hold (coherence-point role only).
     fn note_presence(&mut self, op: LineOp) {
         if self.coherent.is_some() && op.side == CoherenceSide::Cpu {
-            self.cpu_lines.insert(op.line_addr);
+            let (key, bit) = self.presence_bit(op.line_addr);
+            *self.cpu_lines.entry(key).or_insert(0) |= bit;
         }
+    }
+
+    /// Whether the CPU side may hold `line_addr`.
+    fn cpu_may_hold(&self, line_addr: u64) -> bool {
+        let (key, bit) = self.presence_bit(line_addr);
+        self.cpu_lines.get(&key).is_some_and(|mask| mask & bit != 0)
     }
 
     /// Route a per-line op through coherence probing if the CPU side may
     /// hold a line I/O traffic touches.
     fn start_line(&mut self, op: LineOp, ctx: &mut Ctx) {
         if let Some(coh) = self.coherent {
-            if op.side == CoherenceSide::Io && self.cpu_lines.contains(&op.line_addr) {
+            if op.side == CoherenceSide::Io && self.cpu_may_hold(op.line_addr) {
                 // Probe the CPU-side cache before serving I/O traffic.
                 if let Some(waiters) = self.probing.get_mut(&op.line_addr) {
                     waiters.push(op);
@@ -465,18 +497,14 @@ impl Cache {
         let first = self.line_of(pkt.addr);
         let last = self.line_of(pkt.addr + u64::from(pkt.size) - 1);
         let lines = (((last - first) >> self.line_shift) + 1) as u32;
-        let parent_id = pkt.id;
-        self.parents.insert(
-            parent_id,
-            Parent {
-                pkt,
-                remaining: lines,
-                start: ctx.now(),
-            },
-        );
+        let parent = self.add_parent(Parent {
+            pkt,
+            remaining: lines,
+            start: ctx.now(),
+        });
         for i in 0..lines {
             let op = LineOp {
-                parent: parent_id,
+                parent,
                 line_addr: first + u64::from(i) * u64::from(self.cfg.line_bytes),
                 write,
                 side,
@@ -487,10 +515,12 @@ impl Cache {
 
     fn handle_fill(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         let line_addr = pkt.addr;
-        let mut waiters = self
+        let i = self
             .mshrs
-            .remove(&line_addr)
+            .iter()
+            .position(|(a, _)| *a == line_addr)
             .expect("fill without MSHR entry");
+        let (_, mut waiters) = self.mshrs.swap_remove(i);
         let dirty = waiters.iter().any(|w| w.write);
         self.install(line_addr, dirty, ctx);
         let at = ctx.now() + self.hit_ticks;
@@ -529,7 +559,13 @@ impl Cache {
 
     fn handle_snoop_ack(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         let line_addr = pkt.addr;
-        self.cpu_lines.remove(&line_addr);
+        let (key, bit) = self.presence_bit(line_addr);
+        if let Entry::Occupied(mut group) = self.cpu_lines.entry(key) {
+            *group.get_mut() &= !bit;
+            if *group.get() == 0 {
+                group.remove();
+            }
+        }
         if let Some(mut ops) = self.probing.remove(&line_addr) {
             for op in ops.drain(..) {
                 self.access_line(op, ctx);
@@ -915,6 +951,139 @@ mod tests {
         drive(&mut k, "refill", l1, 0, ops);
         assert_eq!(k.module::<Tap>(tap).unwrap().writes, vec![a, a]);
         assert_eq!(k.stats().get_or_zero("l1.writebacks"), 2.0);
+    }
+
+    #[test]
+    fn the_presence_bitmap_tracks_single_lines_across_groups() {
+        let mut k = Kernel::new();
+        let (_, llc) = coherent_llc(&mut k);
+        // 0x4000 and 0x4040 share a 64-line group; 0x5000 is in the next.
+        let cpu = vec![(0x4000, 64, true), (0x4040, 64, true), (0x5000, 64, true)];
+        drive(&mut k, "cpu_script", llc, 0, cpu);
+        let mut snoops = Vec::new();
+        for (i, addr) in [0x4000, 0x4040, 0x4000, 0x5000].into_iter().enumerate() {
+            let name = ["io0", "io1", "io2", "io3"][i];
+            drive(&mut k, name, llc, 16, vec![(addr, 64, false)]);
+            snoops.push(k.stats().get_or_zero("llc.snoops_sent"));
+        }
+        // A snoop ack clears its own line only, and a re-read of a
+        // snooped line sends nothing.
+        assert_eq!(snoops, vec![1.0, 2.0, 2.0, 3.0]);
+        // Every group whose last bit cleared is gone from the directory.
+        assert!(k.module::<Cache>(llc).unwrap().cpu_lines.is_empty());
+    }
+
+    /// Issues `first` all at once, then one of `then` per response;
+    /// logs `(id, addr)` of every response.
+    struct Burst {
+        target: ModuleId,
+        first: Vec<(u64, u32)>,
+        then: VecDeque<(u64, u32)>,
+        issued: Vec<(u64, u64)>,
+        got: Vec<(u64, u64)>,
+    }
+
+    impl Burst {
+        fn issue(&mut self, (addr, size): (u64, u32), ctx: &mut Ctx) {
+            let id = ctx.alloc_pkt_id();
+            let mut p = Packet::request(id, MemCmd::ReadReq, addr, size, ctx.now());
+            p.route.push(ctx.self_id());
+            self.issued.push((id, addr));
+            ctx.send(self.target, 0, Msg::packet(p));
+        }
+    }
+
+    impl Module for Burst {
+        fn name(&self) -> &str {
+            "burst"
+        }
+        fn handle(&mut self, msg: Msg, ctx: &mut Ctx) {
+            match msg {
+                Msg::Timer(_) => {
+                    for req in std::mem::take(&mut self.first) {
+                        self.issue(req, ctx);
+                    }
+                }
+                Msg::Packet(p) => {
+                    assert_eq!(p.cmd, MemCmd::ReadResp);
+                    self.got.push((p.id, p.addr));
+                    if let Some(req) = self.then.pop_front() {
+                        self.issue(req, ctx);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Run a [`Burst`] against an L1 of `cfg` to idle, check that every
+    /// request was answered exactly once, and return the request count
+    /// and the stats.
+    fn run_burst(
+        cfg: CacheConfig,
+        first: Vec<(u64, u32)>,
+        then: Vec<(u64, u32)>,
+    ) -> (usize, Stats) {
+        let mut k = Kernel::new();
+        let mem = k.add_module(Box::new(SimpleMemory::new("mem", MEM_CFG)));
+        let cache = k.add_module(Box::new(Cache::new("c", cfg, mem)));
+        let b = k.add_module(Box::new(Burst {
+            target: cache,
+            first,
+            then: then.into(),
+            issued: vec![],
+            got: vec![],
+        }));
+        k.schedule(0, b, Msg::Timer(0));
+        k.run_until_idle().unwrap();
+        let burst = k.module::<Burst>(b).unwrap();
+        let (mut issued, mut got) = (burst.issued.clone(), burst.got.clone());
+        issued.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, issued, "every request answered exactly once");
+        (issued.len(), k.stats())
+    }
+
+    #[test]
+    fn misses_beyond_the_mshrs_stall_and_are_counted_once() {
+        let cfg = CacheConfig::l1(64 << 10);
+        assert_eq!(cfg.mshrs, 8);
+        let reads: Vec<(u64, u32)> = (0..12).map(|i| (0x10_000 + i * 64, 64)).collect();
+        let (requests, stats) = run_burst(cfg, reads, vec![]);
+        assert_eq!(requests, 12);
+        assert_eq!(stats.get_or_zero("mem.reads"), 12.0);
+        assert_eq!(
+            stats.get_or_zero("c.hits") + stats.get_or_zero("c.misses"),
+            12.0
+        );
+    }
+
+    #[test]
+    fn interleaved_multi_line_requests_respond_to_every_parent_once() {
+        // Multi-line requests overlap single-line ones (shared lines
+        // coalesce in the MSHRs), and responses trigger new requests
+        // while others are in flight, so freed slots get reused.
+        let first = vec![
+            (0x0, 256),
+            (0x40, 64),
+            (0x1000, 64),
+            (0x2000, 512),
+            (0x2100, 64),
+        ];
+        let then = vec![
+            (0x3000, 64),
+            (0x0, 1024),
+            (0x80, 64),
+            (0x4000, 192),
+            (0x2000, 64),
+        ];
+        let (requests, stats) = run_burst(CacheConfig::l1(64 << 10), first, then);
+        assert_eq!(requests, 10);
+        let lines = 4 + 1 + 1 + 8 + 1 + 1 + 16 + 1 + 3 + 1;
+        assert_eq!(
+            stats.get_or_zero("c.hits") + stats.get_or_zero("c.misses"),
+            lines as f64
+        );
     }
 
     #[test]

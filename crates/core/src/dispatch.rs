@@ -120,6 +120,20 @@ pub struct GraphRun {
     pub completions: Vec<(String, Tick)>,
 }
 
+/// One [`GraphSession::extend`] round: only what the serving engines
+/// read. The full phase/job/stat report of a dispatch lives on
+/// [`Simulation::run_graph_timed`]; a round skips building it.
+#[derive(Clone, Debug)]
+pub struct SessionRound {
+    /// Kernel tick at which the round's program started.
+    pub start: Tick,
+    /// Kernel tick at which the round's last task retired.
+    pub end: Tick,
+    /// `(label, tick)` for every completion-labeled task, as
+    /// [`GraphRun::completions`].
+    pub completions: Vec<(String, Tick)>,
+}
+
 struct InFlight {
     task: TaskId,
     cookie: u64,
@@ -468,36 +482,54 @@ impl Simulation {
     ///
     /// As [`Simulation::run_graph`].
     pub fn run_graph_timed(&mut self, graph: &TaskGraph) -> Result<GraphRun, RunError> {
-        let compiled = self.compile_graph(graph)?;
-        self.commit_cookies(compiled.plan.launches);
+        // Compiling touches no kernel state, so the job records taken
+        // here are the ones from before the enqueue.
         let before = self.record_marks();
-        for (dev, job) in compiled.jobs {
-            self.enqueue(job, dev);
-        }
-        let start = self.kernel().now();
-        let (elapsed, marks) = self.run_program(compiled.program)?;
-        let mut phases = Vec::new();
-        for pair in marks.windows(2) {
-            let (label, t0) = (&pair[0].0, pair[0].1);
-            let t1 = pair[1].1;
-            phases.push((label.clone(), units::to_ns(t1 - t0)));
-        }
-        let completions = marks
-            .iter()
-            .filter_map(|(label, tick)| label.strip_prefix("done:").map(|l| (l.to_string(), *tick)))
+        let (plan, round) = self.dispatch_graph(graph)?;
+        let phases = self
+            .cpu_marks()
+            .windows(2)
+            .map(|pair| (pair[0].0.clone(), units::to_ns(pair[1].1 - pair[0].1)))
             .collect();
         Ok(GraphRun {
             report: VitReport {
-                total_ticks: elapsed,
+                total_ticks: round.end - round.start,
                 phases,
                 jobs: self.records_since(&before),
                 stats: self.stats(),
             },
-            plan: compiled.plan,
+            plan,
+            start: round.start,
+            end: round.end,
+            completions: round.completions,
+        })
+    }
+
+    /// Compile `graph`, enqueue its jobs and run its program to the end:
+    /// the dispatch core under [`Simulation::run_graph_timed`] and
+    /// [`GraphSession::extend`].
+    fn dispatch_graph(
+        &mut self,
+        graph: &TaskGraph,
+    ) -> Result<(DispatchPlan, SessionRound), RunError> {
+        let compiled = self.compile_graph(graph)?;
+        self.commit_cookies(compiled.plan.launches);
+        for (dev, job) in compiled.jobs {
+            self.enqueue(job, dev);
+        }
+        let start = self.kernel().now();
+        let elapsed = self.run_program(compiled.program)?;
+        let completions = self
+            .cpu_marks()
+            .iter()
+            .filter_map(|(label, tick)| label.strip_prefix("done:").map(|l| (l.to_string(), *tick)))
+            .collect();
+        let round = SessionRound {
             start,
             end: start + elapsed,
             completions,
-        })
+        };
+        Ok((compiled.plan, round))
     }
 
     /// Execute `graph` and report as a [`RunReport`] (GEMM-shaped
@@ -543,9 +575,10 @@ impl Simulation {
 /// * **Monotone clock** — round `k+1` starts exactly where round `k`
 ///   ended (the kernel clock never rewinds between extends; asserted,
 ///   so a regression fails loudly instead of silently folding time).
-/// * **Deterministic** — an extend is [`Simulation::run_graph_timed`]
-///   on the shared simulation: same session, same graph sequence, same
-///   ticks, byte for byte.
+/// * **Deterministic** — an extend dispatches exactly as
+///   [`Simulation::run_graph_timed`] on the shared simulation: same
+///   session, same graph sequence, same ticks, byte for byte. It returns
+///   a [`SessionRound`] (start, end, completions), not the full report.
 ///
 /// ```
 /// use accesys::{Simulation, SystemConfig};
@@ -579,8 +612,8 @@ impl GraphSession<'_> {
     ///
     /// Panics if the kernel clock ran backwards between rounds — a
     /// broken invariant, not an input error.
-    pub fn extend(&mut self, graph: &TaskGraph) -> Result<GraphRun, RunError> {
-        let run = self.sim.run_graph_timed(graph)?;
+    pub fn extend(&mut self, graph: &TaskGraph) -> Result<SessionRound, RunError> {
+        let (_, run) = self.sim.dispatch_graph(graph)?;
         assert!(
             run.start >= self.last_end,
             "graph session clock ran backwards: round {} started at {} before the previous end {}",
@@ -1058,16 +1091,18 @@ mod tests {
         let mut last_end = session.opened_at();
         for i in 0..3 {
             let mut g = TaskGraph::new();
-            g.add(
+            let t = g.add(
                 format!("r{i}"),
                 TaskKind::Gemm(GemmSpec::square(64)),
                 Affinity::AnyAccel,
                 vec![],
             );
-            let run = session.extend(&g).unwrap();
-            assert!(run.start >= last_end);
-            assert!(run.end > run.start);
-            last_end = run.end;
+            g.set_completion(t, format!("req{i}"));
+            let round: SessionRound = session.extend(&g).unwrap();
+            assert!(round.start >= last_end);
+            assert!(round.end > round.start);
+            assert_eq!(round.completions, vec![(format!("req{i}"), round.end)]);
+            last_end = round.end;
         }
         assert_eq!(session.rounds(), 3);
         assert_eq!(session.now(), last_end);
@@ -1079,25 +1114,34 @@ mod tests {
         let mut session = sim.graph_session();
         assert!(session.extend(&TaskGraph::new()).is_err());
         assert_eq!(session.rounds(), 0, "failed extend is not a round");
+        assert_eq!(session.now(), session.opened_at());
         // The session still works afterwards (no cookies were burned).
         let g = op_chain(&encoder_ops(16, 64, 4, 128));
-        assert!(session.extend(&g).is_ok());
+        let round = session.extend(&g).unwrap();
         assert_eq!(session.rounds(), 1);
+        assert_eq!(session.now(), round.end);
     }
 
     #[test]
     fn graph_session_matches_direct_dispatch() {
-        // A session is sugar over run_graph_timed: the same graph
-        // sequence on fresh simulations produces identical ticks.
-        let g = small_pipeline(2, 2);
+        // A session dispatches exactly as run_graph_timed: the same
+        // graph sequence on fresh simulations produces identical ticks
+        // and completions.
+        let mut g = small_pipeline(2, 2);
+        for t in [0, g.len() / 2, g.len() - 1] {
+            g.set_completion(t, format!("task{t}"));
+        }
         let mut direct = tree_sim(&[2]);
         let a = direct.run_graph_timed(&g).unwrap();
         let b = direct.run_graph_timed(&g).unwrap();
+        assert_eq!(a.completions.len(), 3);
         let mut sessioned = tree_sim(&[2]);
         let mut session = sessioned.graph_session();
         let sa = session.extend(&g).unwrap();
         let sb = session.extend(&g).unwrap();
         assert_eq!((sa.start, sa.end), (a.start, a.end));
         assert_eq!((sb.start, sb.end), (b.start, b.end));
+        assert_eq!(sa.completions, a.completions);
+        assert_eq!(sb.completions, b.completions);
     }
 }

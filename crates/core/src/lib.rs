@@ -57,7 +57,7 @@ pub mod topology;
 pub use config::{
     AccessMode, InterconnectKind, MemBackendConfig, MemoryLocation, PcieConfig, SystemConfig,
 };
-pub use dispatch::{DispatchPlan, GraphRun, GraphSession};
+pub use dispatch::{DispatchPlan, GraphRun, GraphSession, SessionRound};
 pub use error::{BuildError, Error, RunError};
 pub use report::{RunReport, VitReport};
 pub use system::Simulation;

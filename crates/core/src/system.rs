@@ -197,10 +197,9 @@ impl Simulation {
             .enqueue_job(job);
     }
 
-    pub(crate) fn run_program(
-        &mut self,
-        program: Vec<CpuOp>,
-    ) -> Result<(Tick, Vec<(String, Tick)>), RunError> {
+    /// Run `program` on the CPU to completion; returns its elapsed
+    /// ticks (its marks stay readable through [`Simulation::cpu_marks`]).
+    pub(crate) fn run_program(&mut self, program: Vec<CpuOp>) -> Result<Tick, RunError> {
         let start = self.kernel.now();
         {
             let cpu = self
@@ -218,8 +217,15 @@ impl Simulation {
         let end = cpu
             .finished_at()
             .ok_or_else(|| RunError::NoCompletion("cpu program did not finish".into()))?;
-        let marks = cpu.marks().to_vec();
-        Ok((end - start, marks))
+        Ok(end - start)
+    }
+
+    /// The `(label, tick)` marks of the last program run.
+    pub(crate) fn cpu_marks(&self) -> &[(String, Tick)] {
+        self.kernel
+            .module::<CpuComplex>(self.topo.cpu)
+            .expect("cpu present")
+            .marks()
     }
 
     pub(crate) fn record_marks(&self) -> Vec<usize> {
@@ -360,7 +366,7 @@ impl Simulation {
                 job_cookie: cookie,
             },
         ];
-        let (elapsed, _marks) = self.run_program(program)?;
+        let elapsed = self.run_program(program)?;
         Ok((
             RunReport {
                 total_ticks: elapsed,
@@ -475,7 +481,7 @@ impl Simulation {
                 write_addr: write_win.base,
             },
         ];
-        let (elapsed, _) = self.run_program(program)?;
+        let elapsed = self.run_program(program)?;
         Ok(units::to_ns(elapsed))
     }
 

@@ -112,6 +112,35 @@ impl DramConfig {
     }
 }
 
+/// A [`DramTiming`] in ticks, converted once at construction with the
+/// same expressions the per-burst path used to evaluate.
+#[derive(Copy, Clone, Debug)]
+struct TimingTicks {
+    cl: Tick,
+    rcd: Tick,
+    rp: Tick,
+    ras: Tick,
+    ccd: Tick,
+    /// Data-bus occupancy of one burst.
+    burst: Tick,
+    /// `(tREFI, tRFC)`; `None` when refresh is off (`trefi_ns <= 0`).
+    refresh: Option<(Tick, Tick)>,
+}
+
+impl TimingTicks {
+    fn new(t: &DramTiming) -> Self {
+        TimingTicks {
+            cl: t.cycles(t.cl),
+            rcd: t.cycles(t.trcd),
+            rp: t.cycles(t.trp),
+            ras: t.cycles(t.tras),
+            ccd: t.cycles(t.tccd),
+            burst: t.cycles(t.burst_cycles()),
+            refresh: (t.trefi_ns > 0.0).then(|| (units::ns(t.trefi_ns), units::ns(t.trfc_ns))),
+        }
+    }
+}
+
 #[derive(Copy, Clone, Debug)]
 struct Bank {
     open_row: Option<u64>,
@@ -139,6 +168,9 @@ struct Pending {
     // Boxed by the Msg that delivered it; the same box is re-sent as the
     // response, so a DRAM transaction never reallocates its packet.
     pkt: PacketBox,
+    /// `pkt.cmd`, kept beside the queue entry so a burst's energy
+    /// accounting never reads the packet.
+    cmd: MemCmd,
     arrived: Tick,
     bank: u32,
     row: u64,
@@ -153,6 +185,10 @@ struct Channel {
     wake_armed: bool,
     /// Scheduled time of the next refresh (tick); `Tick::MAX` disables.
     next_ref: Tick,
+    /// Queue index of the request the last burst served while it has
+    /// bursts left and no refresh has closed its row since: the FR-FCFS
+    /// pick of the next burst, without a rescan (see [`Dram::service`]).
+    streaming: Option<usize>,
 }
 
 /// A DRAM device with per-bank row-buffer state and an FR-FCFS scheduler.
@@ -175,6 +211,16 @@ struct Channel {
 pub struct Dram {
     name: String,
     cfg: DramConfig,
+    /// `cfg.timing` in ticks.
+    ticks: TimingTicks,
+    /// `cfg.burst_bytes()` and the energy of one such burst.
+    burst_bytes: u32,
+    burst_pj: f64,
+    /// log2 of the channel count, the bank count and the 64-byte lines
+    /// per row: the address decode is shifts and masks.
+    channel_bits: u32,
+    bank_bits: u32,
+    row_line_bits: u32,
     channels: Vec<Channel>,
     reads: u64,
     writes: u64,
@@ -190,13 +236,26 @@ pub struct Dram {
 
 impl Dram {
     /// Create a DRAM endpoint with the given instance `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the channel and bank counts are powers of two and a
+    /// row is a power-of-two number of 64-byte lines (the address decode
+    /// is shifts and masks). Every [`crate::MemTech`] preset qualifies.
     pub fn new(name: &str, cfg: DramConfig) -> Self {
-        assert!(cfg.channels > 0 && cfg.banks > 0);
-        let first_ref = if cfg.timing.trefi_ns > 0.0 {
-            units::ns(cfg.timing.trefi_ns)
-        } else {
-            Tick::MAX
-        };
+        assert!(
+            cfg.channels.is_power_of_two() && cfg.banks.is_power_of_two(),
+            "{name}: {} channels x {} banks is not a power-of-two geometry",
+            cfg.channels,
+            cfg.banks
+        );
+        assert!(
+            cfg.row_bytes >= 64 && cfg.row_bytes.is_power_of_two(),
+            "{name}: a {}-byte row is not a power-of-two number of 64-byte lines",
+            cfg.row_bytes
+        );
+        let ticks = TimingTicks::new(&cfg.timing);
+        let first_ref = ticks.refresh.map_or(Tick::MAX, |(trefi, _)| trefi);
         let channels = (0..cfg.channels)
             .map(|_| Channel {
                 queue: VecDeque::new(),
@@ -204,11 +263,18 @@ impl Dram {
                 bus_free: 0,
                 wake_armed: false,
                 next_ref: first_ref,
+                streaming: None,
             })
             .collect();
         Dram {
             name: name.to_string(),
             cfg,
+            ticks,
+            burst_bytes: cfg.burst_bytes(),
+            burst_pj: cfg.power.burst_pj(cfg.burst_bytes()),
+            channel_bits: cfg.channels.trailing_zeros(),
+            bank_bits: cfg.banks.trailing_zeros(),
+            row_line_bits: (cfg.row_bytes / 64).trailing_zeros(),
             channels,
             reads: 0,
             writes: 0,
@@ -252,32 +318,27 @@ impl Dram {
     /// Decode `addr` into `(channel, bank, row)` per the configured
     /// [`AddressMapping`].
     pub fn decode(&self, addr: u64) -> (u32, u32, u64) {
-        let line = addr / 64;
-        let nch = u64::from(self.cfg.channels);
-        let nbank = u64::from(self.cfg.banks);
-        let lines_per_row = u64::from(self.cfg.row_bytes / 64);
+        let line = addr >> 6;
+        let (ch_bits, bank_bits, row_bits) =
+            (self.channel_bits, self.bank_bits, self.row_line_bits);
+        let channel_of = |x: u64| (x & ((1 << ch_bits) - 1)) as u32;
+        let bank_of = |x: u64| (x & ((1 << bank_bits) - 1)) as u32;
         match self.cfg.mapping {
             AddressMapping::LineChannelRowBank => {
-                let channel = (line % nch) as u32;
-                let la = line / nch;
-                let bank = ((la / lines_per_row) % nbank) as u32;
-                let row = la / lines_per_row / nbank;
-                (channel, bank, row)
+                let la = line >> ch_bits;
+                (
+                    channel_of(line),
+                    bank_of(la >> row_bits),
+                    la >> row_bits >> bank_bits,
+                )
             }
             AddressMapping::LineChannelLineBank => {
-                let channel = (line % nch) as u32;
-                let la = line / nch;
-                let bank = (la % nbank) as u32;
-                let row = la / nbank / lines_per_row;
-                (channel, bank, row)
+                let la = line >> ch_bits;
+                (channel_of(line), bank_of(la), la >> bank_bits >> row_bits)
             }
             AddressMapping::RowChannelRowBank => {
-                let row_idx = line / lines_per_row;
-                let channel = (row_idx % nch) as u32;
-                let ra = row_idx / nch;
-                let bank = (ra % nbank) as u32;
-                let row = ra / nbank;
-                (channel, bank, row)
+                let ra = line >> row_bits >> ch_bits;
+                (channel_of(line >> row_bits), bank_of(ra), ra >> bank_bits)
             }
         }
     }
@@ -286,12 +347,9 @@ impl Dram {
     /// treating each as having run at its scheduled time (so long-idle
     /// periods don't serialize a backlog of tRFCs in front of new work).
     fn catch_up_refresh(&mut self, ch: usize, now: Tick) {
-        let t = self.cfg.timing;
-        if t.trefi_ns <= 0.0 {
+        let Some((trefi, trfc)) = self.ticks.refresh else {
             return;
-        }
-        let trefi = units::ns(t.trefi_ns);
-        let trfc = units::ns(t.trfc_ns);
+        };
         let chan = &mut self.channels[ch];
         while chan.next_ref <= now {
             let ref_at = chan.next_ref;
@@ -303,6 +361,7 @@ impl Dram {
                 bank.col_ready = bank.col_ready.max(ref_end);
             }
             chan.next_ref = ref_at + trefi;
+            chan.streaming = None;
             self.refreshes += 1;
             self.energy.refresh_pj += self.cfg.power.refresh_pj;
         }
@@ -312,27 +371,24 @@ impl Dram {
     /// more work remains.
     fn service(&mut self, ch: usize, now: Tick, ctx: &mut Ctx) -> Option<Tick> {
         self.catch_up_refresh(ch, now);
-        let t = self.cfg.timing;
+        let t = self.ticks;
         let chan = &mut self.channels[ch];
         if chan.queue.is_empty() {
             return None;
         }
 
         // FR-FCFS: oldest row hit whose bank can take a column command,
-        // otherwise the oldest request overall.
-        let mut pick = 0usize;
-        let mut found_hit = false;
-        for (i, p) in chan.queue.iter().enumerate() {
-            let bank = &chan.banks[p.bank as usize];
-            if bank.open_row == Some(p.row) {
-                pick = i;
-                found_hit = true;
-                break;
-            }
-        }
-        if !found_hit {
-            pick = 0;
-        }
+        // otherwise the oldest request overall. The request the last
+        // burst served is still that pick: every older entry was a miss
+        // then, the only row opened since is its own (an older entry
+        // for that row would have been the hit), arrivals queue behind
+        // it, and a refresh clears `streaming`.
+        let pick = chan.streaming.unwrap_or_else(|| {
+            chan.queue
+                .iter()
+                .position(|p| chan.banks[p.bank as usize].open_row == Some(p.row))
+                .unwrap_or(0)
+        });
 
         let p = &chan.queue[pick];
         let bank = chan.banks[p.bank as usize];
@@ -341,35 +397,35 @@ impl Dram {
             Some(r) if r == p.row => (bank.col_ready.max(now), RowKind::Hit),
             Some(_) => {
                 let pre_at = bank.pre_ready.max(now);
-                let act_at = (pre_at + t.cycles(t.trp)).max(bank.act_ready);
-                (act_at + t.cycles(t.trcd), RowKind::Conflict)
+                let act_at = (pre_at + t.rp).max(bank.act_ready);
+                (act_at + t.rcd, RowKind::Conflict)
             }
             None => {
                 let act_at = bank.act_ready.max(now);
-                (act_at + t.cycles(t.trcd), RowKind::Miss)
+                (act_at + t.rcd, RowKind::Miss)
             }
         };
         // Data must also win the channel bus.
-        let data_start = (col_at + t.cycles(t.cl)).max(chan.bus_free);
-        let col_at = data_start - t.cycles(t.cl);
-        let data_end = data_start + t.cycles(t.burst_cycles());
+        let data_start = (col_at + t.cl).max(chan.bus_free);
+        let col_at = data_start - t.cl;
+        let data_end = data_start + t.burst;
 
         // Commit state updates.
         let pbank = &mut chan.banks[p.bank as usize];
         match kind {
             RowKind::Hit => {}
             RowKind::Miss => {
-                let act_at = col_at - t.cycles(t.trcd);
-                pbank.pre_ready = act_at + t.cycles(t.tras);
+                let act_at = col_at - t.rcd;
+                pbank.pre_ready = act_at + t.ras;
             }
             RowKind::Conflict => {
-                let act_at = col_at - t.cycles(t.trcd);
+                let act_at = col_at - t.rcd;
                 pbank.act_ready = act_at;
-                pbank.pre_ready = act_at + t.cycles(t.tras);
+                pbank.pre_ready = act_at + t.ras;
             }
         }
         pbank.open_row = Some(p.row);
-        pbank.col_ready = col_at + t.cycles(t.tccd);
+        pbank.col_ready = col_at + t.ccd;
         chan.bus_free = data_end;
         match kind {
             RowKind::Hit => self.row_hits += 1,
@@ -382,10 +438,10 @@ impl Dram {
                 self.energy.act_pj += self.cfg.power.act_pre_pj;
             }
         }
-        let burst_pj = self.cfg.power.burst_pj(self.cfg.burst_bytes());
+        let burst_pj = self.burst_pj;
         let chan = &mut self.channels[ch];
         let p = &mut chan.queue[pick];
-        match p.pkt.cmd {
+        match p.cmd {
             MemCmd::ReadReq => self.energy.read_pj += burst_pj,
             MemCmd::WriteReq => self.energy.write_pj += burst_pj,
             _ => {}
@@ -394,6 +450,7 @@ impl Dram {
 
         p.bursts_left -= 1;
         let finished = p.bursts_left == 0;
+        chan.streaming = (!finished).then_some(pick);
         if finished {
             let mut done = chan.queue.remove(pick).expect("picked entry exists");
             if self.cfg.page_policy == PagePolicy::Closed {
@@ -401,10 +458,10 @@ impl Dram {
                 let bank = &mut chan.banks[done.bank as usize];
                 let pre_at = bank.pre_ready.max(data_end);
                 bank.open_row = None;
-                bank.act_ready = bank.act_ready.max(pre_at + t.cycles(t.trp));
+                bank.act_ready = bank.act_ready.max(pre_at + t.rp);
             }
             self.bytes += u64::from(done.pkt.size);
-            match done.pkt.cmd {
+            match done.cmd {
                 MemCmd::ReadReq => self.reads += 1,
                 MemCmd::WriteReq => self.writes += 1,
                 _ => {}
@@ -425,8 +482,8 @@ impl Dram {
             // column command would still keep the data bus saturated.
             // Early wakes are safe (the scheduler just recomputes), late
             // wakes would insert CL-sized bubbles between bursts.
-            let next_col = col_at + t.cycles(t.tccd);
-            let keep_bus_busy = data_end.saturating_sub(t.cycles(t.cl));
+            let next_col = col_at + t.ccd;
+            let keep_bus_busy = data_end.saturating_sub(t.cl);
             Some(next_col.min(keep_bus_busy).max(now + 1))
         }
     }
@@ -456,8 +513,9 @@ impl Module for Dram {
             Msg::Packet(pkt) => {
                 debug_assert!(pkt.cmd.is_request());
                 let (ch, bank, row) = self.decode(pkt.addr);
-                let bursts = pkt.size.div_ceil(self.cfg.burst_bytes()).max(1);
+                let bursts = pkt.size.div_ceil(self.burst_bytes).max(1);
                 let entry = Pending {
+                    cmd: pkt.cmd,
                     pkt,
                     arrived: ctx.now(),
                     bank,
@@ -750,6 +808,76 @@ mod tests {
         }
     }
 
+    #[test]
+    fn shift_mask_decode_matches_the_div_mod_formula() {
+        /// The division-based decode the shifts and masks replace.
+        fn div_mod(cfg: &DramConfig, addr: u64) -> (u32, u32, u64) {
+            let line = addr / 64;
+            let nch = u64::from(cfg.channels);
+            let nbank = u64::from(cfg.banks);
+            let lines_per_row = u64::from(cfg.row_bytes / 64);
+            match cfg.mapping {
+                AddressMapping::LineChannelRowBank => {
+                    let la = line / nch;
+                    let bank = (la / lines_per_row) % nbank;
+                    ((line % nch) as u32, bank as u32, la / lines_per_row / nbank)
+                }
+                AddressMapping::LineChannelLineBank => {
+                    let la = line / nch;
+                    (
+                        (line % nch) as u32,
+                        (la % nbank) as u32,
+                        la / nbank / lines_per_row,
+                    )
+                }
+                AddressMapping::RowChannelRowBank => {
+                    let row_idx = line / lines_per_row;
+                    let ra = row_idx / nch;
+                    ((row_idx % nch) as u32, (ra % nbank) as u32, ra / nbank)
+                }
+            }
+        }
+        for tech in MemTech::ALL {
+            for mapping in [
+                AddressMapping::LineChannelRowBank,
+                AddressMapping::LineChannelLineBank,
+                AddressMapping::RowChannelRowBank,
+            ] {
+                let mut cfg = tech.dram_config();
+                cfg.mapping = mapping;
+                let d = Dram::new("m", cfg);
+                // Dense low addresses, unaligned offsets, and a sparse
+                // walk up to the top of the address space.
+                let addrs = (0..2048u64)
+                    .map(|i| i * 64 + i % 64)
+                    .chain((0..2048u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                for addr in addrs {
+                    assert_eq!(
+                        d.decode(addr),
+                        div_mod(&cfg, addr),
+                        "{tech} {mapping:?} {addr:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 channels x 3 banks is not a power-of-two geometry")]
+    fn a_bank_count_that_is_not_a_power_of_two_is_rejected() {
+        let mut cfg = MemTech::Ddr4.dram_config();
+        cfg.banks = 3;
+        Dram::new("odd", cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 32-byte row is not a power-of-two number of 64-byte lines")]
+    fn a_row_shorter_than_a_line_is_rejected() {
+        let mut cfg = MemTech::Ddr4.dram_config();
+        cfg.row_bytes = 32;
+        Dram::new("short", cfg);
+    }
+
     // ---- page policy ----
 
     #[test]
@@ -782,6 +910,77 @@ mod tests {
         assert_eq!(s_closed.get_or_zero("dram.row_conflicts"), 0.0);
         // …and the alternating pattern completes no slower than open-page.
         assert!(d_closed.last().unwrap() <= d_open.last().unwrap());
+    }
+
+    /// Opens bank 0's row 0 with one read, then queues a 64 B miss in
+    /// bank 1 and, behind it, a 4 KiB hit on the open row; returns the
+    /// `(miss, hit)` completion ticks.
+    fn miss_then_streaming_hit(cfg: DramConfig) -> (Tick, Tick) {
+        struct Reader {
+            mem: ModuleId,
+            miss_addr: u64,
+            done: Vec<(u64, u32, Tick)>,
+        }
+        impl Reader {
+            fn read(&self, addr: u64, size: u32, ctx: &mut Ctx) {
+                let id = ctx.alloc_pkt_id();
+                let mut p = Packet::request(id, MemCmd::ReadReq, addr, size, ctx.now());
+                p.route.push(ctx.self_id());
+                ctx.send(self.mem, 0, Msg::packet(p));
+            }
+        }
+        impl Module for Reader {
+            fn name(&self) -> &str {
+                "reader"
+            }
+            fn handle(&mut self, msg: Msg, ctx: &mut Ctx) {
+                match msg {
+                    Msg::Timer(_) => self.read(0, 64, ctx),
+                    Msg::Packet(p) => {
+                        self.done.push((p.addr, p.size, ctx.now()));
+                        if self.done.len() == 1 {
+                            self.read(self.miss_addr, 64, ctx);
+                            self.read(0, 4096, ctx);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let d = Dram::new("probe", cfg);
+        let miss_addr = u64::from(cfg.row_bytes);
+        assert_eq!((d.decode(0).1, d.decode(miss_addr).1), (0, 1));
+        let mut k = Kernel::new();
+        let mem = k.add_module(Box::new(Dram::new("dram", cfg)));
+        let r = k.add_module(Box::new(Reader {
+            mem,
+            miss_addr,
+            done: vec![],
+        }));
+        k.schedule(0, r, Msg::Timer(0));
+        k.run_until_idle().unwrap();
+        let done = &k.module::<Reader>(r).unwrap().done;
+        let at = |addr: u64, size: u32| {
+            done.iter()
+                .find(|&&(a, s, _)| (a, s) == (addr, size))
+                .map(|&(_, _, t)| t)
+                .unwrap()
+        };
+        (at(miss_addr, 64), at(0, 4096))
+    }
+
+    #[test]
+    fn a_streaming_row_hit_keeps_the_bus_until_a_refresh_closes_its_row() {
+        let mut cfg = MemTech::Ddr4.dram_config();
+        cfg.timing.trefi_ns = 0.0;
+        let (miss, hit) = miss_then_streaming_hit(cfg);
+        assert!(hit < miss, "FR-FCFS serves the whole hit first");
+        // A refresh lands while the 64-burst hit streams: every row
+        // closes, so the next burst goes to the oldest request.
+        cfg.timing.trefi_ns = 100.0;
+        cfg.timing.trfc_ns = 10.0;
+        let (miss, hit) = miss_then_streaming_hit(cfg);
+        assert!(miss < hit, "after the refresh the older miss goes first");
     }
 
     // ---- refresh ----
