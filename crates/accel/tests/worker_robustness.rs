@@ -10,11 +10,19 @@
 
 use accesys_accel::{ChildWorker, GemmOperands, SystolicConfig, WorkerError};
 use std::os::unix::fs::PermissionsExt;
-use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Write an executable `/bin/sh` script that plays a worker.
-fn fake_worker(name: &str, body: &str) -> PathBuf {
+/// Held across every script write and every spawn in this binary. While
+/// one test thread has its script open for writing, a fork on another
+/// thread hands the child a copy of that write fd until the child execs,
+/// and exec of the script then fails with ETXTBSY ("text file busy").
+static SPAWN: Mutex<()> = Mutex::new(());
+
+/// Write an executable `/bin/sh` script that plays a worker, and spawn
+/// it (the PING handshake included) with no other fork in flight.
+fn fake_worker(name: &str, body: &str) -> ChildWorker {
+    let _spawning = SPAWN.lock().unwrap_or_else(PoisonError::into_inner);
     let path =
         std::env::temp_dir().join(format!("accesys-fake-worker-{name}-{}", std::process::id()));
     std::fs::write(&path, format!("#!/bin/sh\n{body}\n")).expect("write fake worker");
@@ -23,7 +31,7 @@ fn fake_worker(name: &str, body: &str) -> PathBuf {
         .permissions();
     perm.set_mode(0o755);
     std::fs::set_permissions(&path, perm).expect("chmod fake worker");
-    path
+    ChildWorker::spawn(&path).expect("handshake completes")
 }
 
 fn small_ops() -> GemmOperands {
@@ -35,8 +43,7 @@ fn small_ops() -> GemmOperands {
 
 #[test]
 fn child_dying_mid_gemm_is_a_typed_error_not_a_hang() {
-    let path = fake_worker("dies", "read l; echo PONG; read l; exit 7");
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
+    let mut worker = fake_worker("dies", "read l; echo PONG; read l; exit 7");
     let start = Instant::now();
     let err = worker.run_gemm(&small_ops()).expect_err("child died");
     assert!(
@@ -52,11 +59,10 @@ fn child_dying_mid_gemm_is_a_typed_error_not_a_hang() {
 #[test]
 fn truncated_result_block_is_a_typed_error() {
     // Replies DONE but ships 4 of the 16 result bytes, then exits.
-    let path = fake_worker(
+    let mut worker = fake_worker(
         "truncates",
         "read l; echo PONG; read l; echo DONE; printf 'aaaa'; exit 0",
     );
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
     let err = worker.run_gemm(&small_ops()).expect_err("block truncated");
     assert!(
         matches!(err, WorkerError::Died(_)),
@@ -66,11 +72,10 @@ fn truncated_result_block_is_a_typed_error() {
 
 #[test]
 fn garbage_reply_is_a_protocol_error() {
-    let path = fake_worker(
+    let mut worker = fake_worker(
         "garbage",
         "read l; echo PONG; read l; echo BANANAS; cat >/dev/null",
     );
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
     let err = worker
         .block_time(SystolicConfig::default(), 1, 16, 16)
         .expect_err("garbage reply");
@@ -82,8 +87,7 @@ fn garbage_reply_is_a_protocol_error() {
 
 #[test]
 fn unresponsive_child_times_out_instead_of_hanging() {
-    let path = fake_worker("wedged", "read l; echo PONG; while :; do sleep 1; done");
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
+    let mut worker = fake_worker("wedged", "read l; echo PONG; while :; do sleep 1; done");
     worker.set_read_deadline(Duration::from_millis(150));
     let start = Instant::now();
     let err = worker
@@ -113,8 +117,7 @@ fn unresponsive_child_times_out_instead_of_hanging() {
 fn drop_kills_a_child_that_ignores_exit() {
     // After PONG the child becomes `sleep 600`: it never reads EXIT and
     // never exits on its own inside the drop grace.
-    let path = fake_worker("sleeper", "read l; echo PONG; exec sleep 600");
-    let worker = ChildWorker::spawn(&path).expect("handshake completes");
+    let worker = fake_worker("sleeper", "read l; echo PONG; exec sleep 600");
     let start = Instant::now();
     drop(worker);
     assert!(

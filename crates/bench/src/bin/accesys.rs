@@ -30,7 +30,7 @@ use accesys_spec::{Scenario, Spec, SpecError};
 const USAGE: &str = "usage: accesys <command> [args]
 
 commands:
-  run <spec> [--jobs N] [--json] [--full] [--fleet-workers N]
+  run <spec> [--jobs N] [--json] [--full]
                   load a scenario file, validate it, and run its sweep
                   (<spec> is a file path, or the bare name of a
                   committed spec from `accesys list`)
@@ -44,12 +44,7 @@ run flags:
   --jobs N, -j N  run the sweep on N worker threads
                   (default: ACCESYS_JOBS, else all cores)
   --json          emit the machine-readable sweep result on stdout
-  --full          paper-scale workload sizes (same as ACCESYS_FULL=1)
-  --fleet-workers N
-                  worker OS processes for fleet scenarios, 0 = run the
-                  host shards in-process (overrides the spec's [fleet]
-                  workers and ACCESYS_FLEET_WORKERS; results are
-                  byte-identical at any value)";
+  --full          paper-scale workload sizes (same as ACCESYS_FULL=1)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -80,7 +75,7 @@ fn split_args(args: &[String]) -> Result<(Vec<&str>, Cli), CliError> {
     let mut flags = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if arg == "--jobs" || arg == "-j" || arg == "--fleet-workers" {
+        if arg == "--jobs" || arg == "-j" {
             flags.push(arg.clone());
             if let Some(value) = iter.next() {
                 flags.push(value.clone());

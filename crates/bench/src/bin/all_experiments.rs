@@ -40,9 +40,8 @@ fn main() {
         ("serve", accesys_bench::serve::run_cli),
         ("decode", accesys_bench::decode::run_cli),
         ("energy", accesys_bench::energy::run_cli),
-        // In-process by default so the combined run never depends on
-        // the fleet worker binary; --fleet-workers N still opts in.
-        ("fleet", accesys_bench::fleet::run_cli_in_process),
+        // Host shards of every point share the --jobs threads.
+        ("fleet", accesys_bench::fleet::run_cli),
     ];
     let start = Instant::now();
     let mut combined = Vec::new();

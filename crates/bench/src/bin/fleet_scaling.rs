@@ -1,9 +1,7 @@
 //! Fleet scale-out sweep: host count × per-host tree shape, each host
 //! an independent serving engine fed its share of one open-loop trace
-//! over network links (extension). Host shards run in worker OS
-//! processes (`--fleet-workers`, `ACCESYS_FLEET_WORKERS`, else the
-//! spec's `[fleet] workers`); stdout is byte-identical at any worker
-//! count.
+//! over network links (extension). Every host shard of the sweep runs
+//! on the `--jobs` threads; stdout is byte-identical at any `--jobs`.
 
 use accesys_exp::cli::{self, Cli};
 

@@ -5,34 +5,27 @@
 //!
 //! This is the layer above every earlier experiment family: PR 4's
 //! switch trees are the per-host topology, PR 6's continuous-batching
-//! engine serves each host's shard. In-process (`--fleet-workers 0`,
-//! what `accesys run` and the benchmark use), every (point, host) shard
-//! of the sweep is one entry of a flat list that the sweep's `--jobs`
-//! threads work through together, with no lock and no nested pool; each
-//! point's shards are then merged in host order. With `--fleet-workers
-//! N`, points instead take turns on N `accesys-fleet-worker` OS
-//! processes pooled across the sweep. The determinism contract stacks:
-//! the merged fleet report is byte-identical at any `--jobs` and any
-//! `--fleet-workers` count — CI pins the
-//! 1-vs-4-process and the in-process 1-vs-4-job comparisons with `cmp`.
+//! engine serves each host's shard. Every (point, host) shard of the
+//! sweep is one entry of a flat list that the sweep's `--jobs` threads
+//! work through together, with no lock and no nested pool; each
+//! point's shards are then merged in host order. The determinism
+//! contract stacks: the merged fleet report is byte-identical at any
+//! `--jobs` count — CI pins the 1-vs-4-job comparison with `cmp`.
 //!
 //! The scenario (testbed, request, traffic, policy, link model, sweep
 //! axes) lowers from the committed `specs/fleet_1k.spec`; its top grid
-//! point (64 hosts × `4x4` trees) is a 1024-endpoint fleet. The
-//! `fleet_perf` bin turns the 4-process wall-clock speedup into a CI
-//! bar and records `workers_spawned` to prove pool reuse.
+//! point (64 hosts × `4x4` trees) is a 1024-endpoint fleet.
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
 use crate::{specs, Scale};
 use accesys_exp::pool::map_ordered;
-use accesys_exp::{cross2, run_experiment, Experiment, Jobs, SweepResult};
+use accesys_exp::{cross2, Experiment, Jobs, SweepResult};
 use accesys_fleet::{
-    merge, run_host, FleetError, FleetPolicy, FleetPool, FleetReport, FleetSpec, FleetTraffic,
-    HostSystem, NetLink, PolicyKind,
+    merge, run_host, FleetError, FleetPolicy, FleetReport, FleetSpec, FleetTraffic, HostSystem,
+    NetLink, PolicyKind,
 };
 use accesys_spec::FleetScenario;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The committed scenario this sweep lowers from.
@@ -41,8 +34,8 @@ pub fn scenario() -> &'static FleetScenario {
 }
 
 /// Lower one (hosts, shape) grid point of a spec-layer fleet scenario
-/// into the fleet crate's self-contained [`FleetSpec`] (the form that
-/// ships to worker processes as JSON).
+/// into the fleet crate's self-contained [`FleetSpec`] (the form every
+/// host shard runs from).
 pub fn lower(sc: &FleetScenario, hosts: u32, shape: &str, scale: Scale) -> FleetSpec {
     let levels = parse_shape(shape);
     let endpoints_per_host: u32 = levels.iter().product();
@@ -85,20 +78,6 @@ pub fn lower(sc: &FleetScenario, hosts: u32, shape: &str, scale: Scale) -> Fleet
             request_bytes: sc.request_bytes,
         },
     }
-}
-
-/// The worker pool of one sweep (shared across grid points so worker
-/// processes are spawned once, not once per point).
-///
-/// # Panics
-///
-/// Panics when `workers > 0` and the `accesys-fleet-worker` binary is
-/// not next to the current executable (build the workspace first, or
-/// set `ACCESYS_FLEET_WORKER_BIN`).
-pub fn pool(workers: u32) -> FleetPool {
-    FleetPool::spawn(workers).unwrap_or_else(|e| {
-        panic!("fleet worker pool: {e} (hint: `cargo build --release --workspace`)")
-    })
 }
 
 /// One fleet measurement: one host count on one per-host tree shape.
@@ -157,33 +136,47 @@ fn failed(hosts: u32, shape: &str, e: FleetError) -> ! {
     panic!("fleet run ({hosts} hosts, shape {shape}): {e}")
 }
 
+/// One point on its own: every host shard of `spec` in host order on
+/// the calling thread, then merged.
+fn run_point(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
+    let results = (0..spec.hosts)
+        .map(|host| run_host(spec, host))
+        .collect::<Result<Vec<_>, _>>()?;
+    merge(spec, results)
+}
+
 /// The fleet sweep: hosts × shapes, row-major. Its [`Experiment::run`]
-/// schedules host shards, not points: in-process, every (point, host)
-/// shard of the sweep goes on the `--jobs` threads as one flat list;
-/// with worker processes, points share the pool one at a time.
+/// schedules host shards, not points: every (point, host) shard of the
+/// sweep goes on the `--jobs` threads as one flat list.
 pub struct FleetSweep {
     sc: FleetScenario,
     scale: Scale,
-    /// The worker processes every point shares; `None` runs the host
-    /// shards in-process.
-    workers: Option<Mutex<FleetPool>>,
 }
 
-impl FleetSweep {
-    /// Worker processes `(requested, spawned over the sweep)`; `(0, 0)`
-    /// in-process.
-    fn workers(&self) -> (u32, u64) {
-        self.workers.as_ref().map_or((0, 0), |pool| {
-            let pool = pool.lock().expect("fleet pool lock");
-            (pool.workers(), pool.spawned())
-        })
+impl Experiment for FleetSweep {
+    type Point = (u32, String);
+    type Out = FleetRow;
+
+    fn name(&self) -> &str {
+        &self.sc.name
+    }
+
+    fn points(&self) -> Vec<(u32, String)> {
+        cross2(self.sc.hosts.clone(), self.sc.shapes.clone())
+    }
+
+    /// One point on its own, its hosts one after another.
+    fn measure(&self, (hosts, shape): &(u32, String)) -> FleetRow {
+        let spec = lower(&self.sc, *hosts, shape, self.scale);
+        let report = run_point(&spec).unwrap_or_else(|e| failed(*hosts, shape, e));
+        row_of(*hosts, shape, &report)
     }
 
     /// Every (point, host) shard of the sweep on one `jobs` pool, then
     /// each point's shards merged in host order. A point's shards are
     /// adjacent in the list and results come back in list order, so no
     /// lock is held and the schedule never reaches the rows.
-    fn run_in_process(&self, jobs: Jobs) -> SweepResult<(u32, String), FleetRow> {
+    fn run(&self, jobs: Jobs) -> SweepResult<(u32, String), FleetRow> {
         let points = self.points();
         let start = Instant::now();
         let specs: Vec<FleetSpec> = points
@@ -225,104 +218,36 @@ impl FleetSweep {
     }
 }
 
-impl Experiment for FleetSweep {
-    type Point = (u32, String);
-    type Out = FleetRow;
-
-    fn name(&self) -> &str {
-        &self.sc.name
-    }
-
-    fn points(&self) -> Vec<(u32, String)> {
-        cross2(self.sc.hosts.clone(), self.sc.shapes.clone())
-    }
-
-    /// One point on its own: through the worker pool, or its hosts one
-    /// after another in-process.
-    fn measure(&self, (hosts, shape): &(u32, String)) -> FleetRow {
-        let spec = lower(&self.sc, *hosts, shape, self.scale);
-        let report = match &self.workers {
-            Some(pool) => pool.lock().expect("fleet pool lock").run(&spec),
-            None => FleetPool::in_process().run(&spec),
-        };
-        row_of(
-            *hosts,
-            shape,
-            &report.unwrap_or_else(|e| failed(*hosts, shape, e)),
-        )
-    }
-
-    fn run(&self, jobs: Jobs) -> SweepResult<(u32, String), FleetRow> {
-        match self.workers {
-            Some(_) => run_experiment(self, jobs),
-            None => self.run_in_process(jobs),
-        }
-    }
-}
-
-/// The sweep of `sc` on `pool`: its worker processes, shared across
-/// points, or the sweep's own threads when it has none.
-pub fn experiment_for(sc: &FleetScenario, scale: Scale, pool: FleetPool) -> FleetSweep {
+/// The sweep of an arbitrary loaded fleet scenario.
+pub fn experiment_for(sc: &FleetScenario, scale: Scale) -> FleetSweep {
     FleetSweep {
         sc: sc.clone(),
         scale,
-        workers: (pool.workers() > 0).then(|| Mutex::new(pool)),
     }
 }
 
-/// The committed sweep on a fresh pool of `workers` processes.
-pub fn experiment(scale: Scale, workers: u32) -> FleetSweep {
-    experiment_for(scenario(), scale, pool(workers))
-}
-
-/// The sweep of `sc` with every host shard run in-process on the
-/// sweep's `--jobs` threads — no worker binary needed. Golden tests pin
-/// this form; its output is byte-identical to any worker-process run
-/// and at any `--jobs` (the fleet contract).
-pub fn experiment_in_process(sc: &FleetScenario, scale: Scale) -> FleetSweep {
-    experiment_for(sc, scale, FleetPool::in_process())
-}
-
-/// Run the committed sweep in-process (no worker processes).
+/// Run the committed sweep.
 pub fn run(scale: Scale) -> Vec<FleetRow> {
-    experiment(scale, 0).run(Jobs::serial()).into_outputs()
+    experiment_for(scenario(), scale)
+        .run(Jobs::serial())
+        .into_outputs()
 }
 
 /// Run at the CLI's settings; print the table unless `--json`; return
-/// the machine-readable sweep value. Worker count: `--fleet-workers` /
-/// `ACCESYS_FLEET_WORKERS`, else the spec's `[fleet] workers`; at 0 the
-/// host shards of every point share the `--jobs` threads as one flat
-/// shard list. The spawn count goes to **stderr**, so stdout stays
-/// byte-identical across worker and job counts.
+/// the machine-readable sweep value. Stdout is byte-identical at any
+/// `--jobs`.
 pub fn run_cli(cli: &Cli) -> serde::Value {
     run_cli_for(scenario(), cli)
 }
 
-/// [`run_cli`] with the worker default flipped: unless
-/// `--fleet-workers` / `ACCESYS_FLEET_WORKERS` asks for processes, the
-/// host shards run in-process. `all_experiments` uses this so the
-/// combined run never depends on the worker binary having been built;
-/// stdout is byte-identical either way.
-pub fn run_cli_in_process(cli: &Cli) -> serde::Value {
-    run_cli_with(scenario(), cli, cli.fleet_workers.unwrap_or(0))
-}
-
 /// [`run_cli`] against an arbitrary loaded fleet scenario.
 pub fn run_cli_for(sc: &FleetScenario, cli: &Cli) -> serde::Value {
-    run_cli_with(sc, cli, cli.fleet_workers.unwrap_or(sc.workers))
-}
-
-fn run_cli_with(sc: &FleetScenario, cli: &Cli, workers: u32) -> serde::Value {
-    let sweep = experiment_for(sc, cli.scale, pool(workers));
-    let value = crate::cli::run_sweep_cli(cli, &sweep, |r| {
+    crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
         print_for(
             sc,
             &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
         )
-    });
-    let (requested, spawned) = sweep.workers();
-    eprintln!("# fleet workers: {requested} requested, {spawned} spawned over the sweep");
-    value
+    })
 }
 
 /// Print the fleet table.
@@ -412,12 +337,12 @@ mod tests {
     #[test]
     fn the_flat_shard_schedule_is_deterministic_across_jobs() {
         // 1 + 3 + 5 hosts: at jobs 2 and 4, shards of different points
-        // run side by side and finish out of order. The full grid and
-        // the process pool run in CI.
+        // run side by side and finish out of order. The full grid runs
+        // in CI.
         let mut small = scenario().clone();
         small.hosts = vec![1, 3, 5];
         small.shapes = vec!["2".to_string()];
-        let run = |jobs: Jobs| experiment_in_process(&small, Scale::Quick).run(jobs);
+        let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs);
         let serial = run(Jobs::serial());
         let json = serial.to_json().expect("fleet rows serialize");
         for jobs in [2, 4] {
@@ -431,9 +356,8 @@ mod tests {
         }
         assert_eq!(serial.points.len(), 3);
         for ((hosts, shape), row) in &serial.points {
-            let report = FleetPool::in_process()
-                .run(&lower(&small, *hosts, shape, Scale::Quick))
-                .expect("fleet point runs");
+            let report =
+                run_point(&lower(&small, *hosts, shape, Scale::Quick)).expect("fleet point runs");
             assert_eq!(
                 serde_json::to_string(row).expect("row serializes"),
                 serde_json::to_string(&row_of(*hosts, shape, &report)).expect("row serializes"),
@@ -452,14 +376,10 @@ mod tests {
         // adding hosts must not reduce completions.
         let sc = scenario();
         let shape = &sc.shapes[0];
-        let mut pool = FleetPool::in_process();
-        let one = pool
-            .run(&lower(sc, 1, shape, Scale::Quick))
-            .expect("1-host fleet runs");
+        let one = run_point(&lower(sc, 1, shape, Scale::Quick)).expect("1-host fleet runs");
         let &few = sc.hosts.first().expect("hosts swept");
-        let spread = pool
-            .run(&lower(sc, few, shape, Scale::Quick))
-            .expect("committed fleet point runs");
+        let spread =
+            run_point(&lower(sc, few, shape, Scale::Quick)).expect("committed fleet point runs");
         assert_eq!(one.offered, spread.offered, "same frontend trace");
         assert!(
             spread.completed >= one.completed,

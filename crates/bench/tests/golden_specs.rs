@@ -37,10 +37,10 @@ fn sweep_json(spec: &Spec) -> String {
         Scenario::Decode(sc) => serde::Serialize::to_value(
             &decode::experiment_for(sc, Scale::Quick).run(Jobs::serial()),
         ),
-        // In-process shards; byte-identical to any --fleet-workers run.
-        Scenario::Fleet(sc) => serde::Serialize::to_value(
-            &fleet::experiment_in_process(sc, Scale::Quick).run(Jobs::serial()),
-        ),
+        // Host shards on the flat schedule; byte-identical at any --jobs.
+        Scenario::Fleet(sc) => {
+            serde::Serialize::to_value(&fleet::experiment_for(sc, Scale::Quick).run(Jobs::serial()))
+        }
     };
     serde_json::to_string_pretty(&value).expect("sweep results serialize")
 }

@@ -25,10 +25,11 @@ pub struct Cli {
     pub jobs: Jobs,
     /// Emit JSON on stdout instead of the human-readable table.
     pub json: bool,
-    /// Fleet worker OS processes (`--fleet-workers`); 0 runs every host
-    /// shard of the sweep in-process on the `jobs` threads, as one flat
-    /// shard list. `None` defers to the spec / `ACCESYS_FLEET_WORKERS` /
-    /// in-process. Fleet reports are byte-identical at any value.
+    /// Inert: nothing in the workspace reads it, and no flag or
+    /// environment variable sets it; fleet host shards always run on
+    /// the `jobs` threads. It stays only because the benchmark harness
+    /// (`perfbench/src/workload.rs`) still assigns it, so it can go
+    /// only in a change to that harness, together with the assignment.
     pub fleet_workers: Option<u32>,
 }
 
@@ -44,8 +45,6 @@ pub enum CliError {
     MissingValue(String),
     /// `--jobs` got something other than a positive integer.
     BadJobs(String),
-    /// `--fleet-workers` got something other than a non-negative integer.
-    BadFleetWorkers(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -56,12 +55,6 @@ impl std::fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             CliError::BadJobs(value) => {
                 write!(f, "--jobs needs a positive integer, got `{value}`")
-            }
-            CliError::BadFleetWorkers(value) => {
-                write!(
-                    f,
-                    "--fleet-workers needs a non-negative integer, got `{value}`"
-                )
             }
         }
     }
@@ -108,7 +101,7 @@ impl Cli {
             scale: Scale::from_env(),
             jobs: Jobs::from_env(),
             json: false,
-            fleet_workers: fleet_workers_from_env(),
+            fleet_workers: None,
         };
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
@@ -120,15 +113,9 @@ impl Cli {
                     let value = args.next().ok_or(CliError::MissingValue(arg))?;
                     cli.jobs = parse_jobs(&value)?;
                 }
-                "--fleet-workers" => {
-                    let value = args.next().ok_or(CliError::MissingValue(arg))?;
-                    cli.fleet_workers = Some(parse_fleet_workers(&value)?);
-                }
                 other => {
                     if let Some(value) = other.strip_prefix("--jobs=") {
                         cli.jobs = parse_jobs(value)?;
-                    } else if let Some(value) = other.strip_prefix("--fleet-workers=") {
-                        cli.fleet_workers = Some(parse_fleet_workers(value)?);
                     } else {
                         return Err(CliError::UnknownFlag(other.to_string()));
                     }
@@ -146,24 +133,10 @@ fn parse_jobs(value: &str) -> Result<Jobs, CliError> {
     }
 }
 
-fn parse_fleet_workers(value: &str) -> Result<u32, CliError> {
-    value
-        .parse::<u32>()
-        .map_err(|_| CliError::BadFleetWorkers(value.to_string()))
-}
-
-/// The `ACCESYS_FLEET_WORKERS` default for `--fleet-workers`
-/// (unparseable values are ignored, matching the other env defaults).
-fn fleet_workers_from_env() -> Option<u32> {
-    std::env::var("ACCESYS_FLEET_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-}
-
 /// The usage text every sweep bin shares.
 pub fn usage(bin: &str) -> String {
     format!(
-        "usage: {bin} [--jobs N] [--json] [--full] [--fleet-workers N]\n\
+        "usage: {bin} [--jobs N] [--json] [--full]\n\
          \n\
          --jobs N, -j N  run the sweep on N worker threads\n\
          \x20                (default: ACCESYS_JOBS, else all cores)\n\
@@ -171,13 +144,6 @@ pub fn usage(bin: &str) -> String {
          --full          paper-scale workload sizes where applicable\n\
          \x20                (same as ACCESYS_FULL=1; scale-independent\n\
          \x20                bins such as probe/table2/table3 ignore it)\n\
-         --fleet-workers N\n\
-         \x20                worker OS processes for fleet scenarios\n\
-         \x20                (0 = in-process: every host shard of the sweep\n\
-         \x20                shares the --jobs threads as one flat list;\n\
-         \x20                default: spec [fleet] workers, else\n\
-         \x20                ACCESYS_FLEET_WORKERS; results are\n\
-         \x20                byte-identical at any value)\n\
          --help, -h      show this help"
     )
 }
@@ -250,14 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_workers_parses_and_allows_zero() {
-        assert_eq!(parse(&["--fleet-workers", "4"]).fleet_workers, Some(4));
-        assert_eq!(parse(&["--fleet-workers=8"]).fleet_workers, Some(8));
-        // 0 is meaningful: run every shard in-process.
-        assert_eq!(parse(&["--fleet-workers", "0"]).fleet_workers, Some(0));
-    }
-
-    #[test]
     fn bad_flags_are_typed_errors() {
         let parse = |args: &[&str]| Cli::parse(args.iter().map(|s| s.to_string()));
         assert_eq!(
@@ -278,13 +236,11 @@ mod tests {
             parse(&["--kernel-threads", "4"]),
             Err(CliError::UnknownFlag("--kernel-threads".to_string()))
         );
+        // Fleet host shards always run on the --jobs threads; there is
+        // no worker-process knob.
         assert_eq!(
-            parse(&["--fleet-workers", "many"]),
-            Err(CliError::BadFleetWorkers("many".to_string()))
-        );
-        assert_eq!(
-            parse(&["--fleet-workers"]),
-            Err(CliError::MissingValue("--fleet-workers".to_string()))
+            parse(&["--fleet-workers", "4"]),
+            Err(CliError::UnknownFlag("--fleet-workers".to_string()))
         );
         assert_eq!(parse(&["-h"]), Err(CliError::Help));
         assert_eq!(

@@ -1,23 +1,23 @@
 //! One host shard: route the fleet trace to a host over its network
 //! link, serve it on that host's simulation, and fold the outcome into
-//! a flat, JSON-shippable [`HostResult`].
+//! a flat [`HostResult`].
 //!
 //! [`run_host`] is a pure function of `(spec, host)` — no ambient
 //! state, no clocks, no randomness beyond the spec's seed — which is
-//! the whole determinism argument of the fleet layer: the coordinator
-//! and every worker process compute bit-identical [`HostResult`]s for
-//! the same inputs, so merged fleet reports cannot depend on *where*
-//! a host shard ran, only on which hosts exist.
+//! the whole determinism argument of the fleet layer: every thread
+//! computes bit-identical [`HostResult`]s for the same inputs, so
+//! merged fleet reports cannot depend on *where* or *when* a host
+//! shard ran, only on which hosts exist.
 
 use crate::{FleetError, FleetSpec};
 use accesys_serve::{serve_traced, Arrival};
 use accesys_sim::Histogram;
 
-/// A [`Histogram`] flattened for the wire: exact bucket indexes plus
-/// the exact scalar moments. Round-trips bit-identically through the
-/// vendored JSON shim ([`Histogram::raw_buckets`] /
+/// A [`Histogram`] flattened to plain data: exact bucket indexes plus
+/// the exact scalar moments. [`WireHist::unpack`] rebuilds it
+/// bit-identically ([`Histogram::raw_buckets`] /
 /// [`Histogram::from_raw`]).
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct WireHist {
     /// Non-empty `(bucket index, count)` pairs.
     pub buckets: Vec<(u32, u64)>,
@@ -47,7 +47,7 @@ impl WireHist {
 }
 
 /// One tenant's share of a host shard.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct HostTenant {
     /// Tenant index.
     pub tenant: u32,
@@ -59,9 +59,9 @@ pub struct HostTenant {
     pub e2e: WireHist,
 }
 
-/// Everything a host shard reports back: flat counters plus wire
+/// Everything a host shard reports back: flat counters plus flattened
 /// histograms, in exactly the shape the merge consumes.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct HostResult {
     /// Which host this is (0-based).
     pub host: u32,

@@ -3,9 +3,10 @@
 //!
 //! The merge contract: results are sorted by host index and folded in
 //! that order, so the fleet report is a function of the *set* of
-//! [`HostResult`]s — never of the order worker processes finished in.
+//! [`HostResult`]s — never of the order their shards finished in.
 //! Histograms merge exactly (integer bucket counts, sums added in host
-//! order), which is what makes the 1-vs-N-process byte-identity hold.
+//! order), which is what keeps the report byte-identical at any
+//! `--jobs`.
 
 use crate::host::{HostResult, WireHist};
 use crate::{FleetError, FleetSpec};

@@ -1,5 +1,5 @@
-//! The self-contained fleet specification: everything a worker process
-//! needs to rebuild its host shard, serializable as JSON for the wire.
+//! The self-contained fleet specification: everything a host shard
+//! needs to rebuild its simulation, as plain data.
 
 use crate::FleetError;
 use accesys::topology::{switch_tree, switch_tree_with, EndpointOptions};
@@ -12,13 +12,11 @@ use accesys_serve::{Arrival, ArrivalSpec, Policy, RequestShape, ServeConfig};
 /// latency/bandwidth-bounded network links.
 ///
 /// The struct is deliberately closed over plain data (no handles, no
-/// callbacks): a worker process receives it as JSON and reconstructs
-/// its shard bit-for-bit. The vendored JSON shim round-trips `f64`
-/// exactly (shortest-round-trip display, correctly rounded parse), so
-/// shipping the spec across the pipe cannot perturb determinism.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+/// callbacks): every host shard rebuilds its simulation from it alone,
+/// so shards can run on any thread in any order.
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct FleetSpec {
-    /// Host count (each host is one worker-process-sized shard).
+    /// Host count (each host is one independently simulated shard).
     pub hosts: u32,
     /// Per-level fan-outs of every host's switch tree (the PR 4 shape
     /// string, parsed); the leaf count is capped by the per-host BAR
@@ -36,9 +34,9 @@ pub struct FleetSpec {
     pub link: NetLink,
 }
 
-/// One host's system knobs (the wire form of the spec layer's
+/// One host's system knobs (the lowered form of the spec layer's
 /// `[topology]` section).
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct HostSystem {
     /// Host PCIe link bandwidth, GB/s.
     pub link_gbps: f64,
@@ -66,11 +64,11 @@ impl HostSystem {
     }
 }
 
-/// The fleet-wide Poisson arrival process. The trace is generated once
-/// from the seed (identically in every process that needs it) and
-/// routed to hosts round-robin, so there is no cross-process arrival
-/// stream to coordinate.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+/// The fleet-wide Poisson arrival process. The trace is generated from
+/// the seed (identically in every shard that needs it) and routed to
+/// hosts round-robin, so there is no shared arrival stream to
+/// coordinate between shards.
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct FleetTraffic {
     /// Offered rate over the whole fleet, requests per second.
     pub rate_rps: f64,
@@ -90,7 +88,7 @@ impl FleetTraffic {
 }
 
 /// Which batching policy each host runs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, serde::Serialize)]
 pub enum PolicyKind {
     /// Strict arrival order.
     Fifo,
@@ -101,7 +99,7 @@ pub enum PolicyKind {
 }
 
 /// Per-host admission/batching policy and bounds.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct FleetPolicy {
     /// Policy kind.
     pub kind: PolicyKind,
@@ -112,8 +110,8 @@ pub struct FleetPolicy {
     /// Per-host admission-queue bound.
     pub queue_cap: u64,
     /// End-to-end latency SLO in ns; `0` means no SLO (goodput =
-    /// throughput). Zero stands in for infinity because the JSON wire
-    /// has no non-finite floats.
+    /// throughput). Zero stands in for infinity so the field stays a
+    /// finite, serializable number.
     pub slo_ns: f64,
 }
 
@@ -148,7 +146,7 @@ impl FleetPolicy {
 /// is causally closed over the whole horizon — the validation that
 /// `latency_ns > 0` is what keeps the cut sound, and would become the
 /// actual horizon limit under a future closed-loop frontend.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize)]
 pub struct NetLink {
     /// One-way propagation latency, ns (must be > 0: the lookahead).
     pub latency_ns: f64,
@@ -219,8 +217,8 @@ impl FleetSpec {
         self.hosts as u64 * self.endpoints_per_host() as u64
     }
 
-    /// Check every cross-field constraint; the worker validates again
-    /// on receive so a corrupt wire spec fails closed.
+    /// Check every cross-field constraint; [`crate::run_host`]
+    /// validates again, so a shard never runs an invalid spec.
     ///
     /// # Errors
     ///

@@ -349,10 +349,6 @@ fn resolve_decode(doc: &Document, name: String) -> Result<Scenario, SpecError> {
 /// (mirrors the fleet crate's own spec cap).
 const MAX_FLEET_HOSTS: u32 = 4096;
 
-/// Upper bound on `[fleet] workers`; one OS process per worker, so a
-/// larger value is a typo, not a bigger machine.
-const MAX_FLEET_WORKERS: u32 = 256;
-
 fn resolve_fleet(doc: &Document, name: String) -> Result<Scenario, SpecError> {
     known_sections(
         doc,
@@ -406,7 +402,6 @@ fn resolve_fleet(doc: &Document, name: String) -> Result<Scenario, SpecError> {
         fleet,
         &[
             "hosts",
-            "workers",
             "link_latency_ns",
             "link_gbps",
             "request_bytes",
@@ -433,19 +428,6 @@ fn resolve_fleet(doc: &Document, name: String) -> Result<Scenario, SpecError> {
             });
         }
     }
-    let workers = match want_u32(fleet, "workers")? {
-        None => 0,
-        Some((w, line)) => {
-            if w > MAX_FLEET_WORKERS {
-                return Err(invalid(
-                    line,
-                    "fleet.workers",
-                    &format!("is {w}, over the worker-process cap of {MAX_FLEET_WORKERS}"),
-                ));
-            }
-            w
-        }
-    };
     let (link_latency_ns, latency_line) = need_f64(fleet, "link_latency_ns")?;
     if !(link_latency_ns > 0.0 && link_latency_ns.is_finite()) {
         return Err(invalid(
@@ -480,7 +462,6 @@ fn resolve_fleet(doc: &Document, name: String) -> Result<Scenario, SpecError> {
         traffic,
         policy,
         hosts,
-        workers,
         link_latency_ns,
         link_gbps,
         request_bytes,

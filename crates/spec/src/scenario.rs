@@ -431,8 +431,8 @@ pub struct DecodeScenario {
 /// shapes.
 ///
 /// The spec layer stays a pure front-end here: this struct is plain
-/// data, and the fleet driver lowers it into the multi-process fleet
-/// crate's own spec type.
+/// data, and the fleet driver lowers it into the fleet crate's own spec
+/// type.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetScenario {
     /// Experiment name.
@@ -449,9 +449,6 @@ pub struct FleetScenario {
     pub policy: PolicySpec,
     /// The swept host counts (`[fleet] hosts`).
     pub hosts: Vec<u32>,
-    /// Default worker OS processes (`[fleet] workers`; 0 = in-process,
-    /// overridable by `--fleet-workers` / `ACCESYS_FLEET_WORKERS`).
-    pub workers: u32,
     /// Frontend→host one-way link latency, ns (`link_latency_ns`) —
     /// also the conservative lookahead of the cross-host cut.
     pub link_latency_ns: f64,

@@ -287,7 +287,6 @@ slo_ns = 5000000.0
 
 [fleet]
 hosts = [2, 4]
-workers = 2
 link_latency_ns = 1000.0
 link_gbps = 100.0
 request_bytes = 4096
@@ -304,13 +303,12 @@ fn the_fleet_fixture_is_actually_valid() {
         panic!("fixture is a fleet scenario, got {}", spec.scenario.kind());
     };
     assert_eq!(sc.hosts, vec![2, 4]);
-    assert_eq!(sc.workers, 2);
     assert_eq!(sc.endpoints(4, "2"), 8);
 }
 
 #[test]
 fn unknown_fleet_key_names_the_key_and_its_line() {
-    let text = FLEET_OK.replace("workers = 2", "wrokers = 2");
+    let text = FLEET_OK.replace("hosts = [2, 4]", "hosts = [2, 4]\nwrokers = 2");
     let err = expect_diag(
         &text,
         "wrokers",
@@ -321,15 +319,18 @@ fn unknown_fleet_key_names_the_key_and_its_line() {
 }
 
 #[test]
-fn fleet_worker_count_over_the_process_cap_is_rejected() {
-    let text = FLEET_OK.replace("workers = 2", "workers = 300");
+fn a_fleet_workers_key_is_an_unknown_key() {
+    // Fleet host shards always run on the sweep's `--jobs` threads, so
+    // `[fleet] workers` is not a key: it is a typed error at its own
+    // line, never a panic or a silently ignored setting.
+    let text = FLEET_OK.replace("hosts = [2, 4]", "hosts = [2, 4]\nworkers = 2");
     let err = expect_diag(
         &text,
-        "workers = 300",
+        "workers = 2",
         Some("fleet.workers"),
-        "line 33: `fleet.workers` is 300, over the worker-process cap of 256",
+        "line 33: unknown key `workers` in [fleet]",
     );
-    assert!(matches!(err, SpecError::Invalid { .. }));
+    assert!(matches!(err, SpecError::UnknownKey { .. }));
 }
 
 #[test]
@@ -341,7 +342,7 @@ fn zero_fleet_link_latency_is_rejected_as_a_lookahead_violation() {
         &text,
         "link_latency_ns = 0.0",
         Some("fleet.link_latency_ns"),
-        "line 34: `fleet.link_latency_ns` must be positive \
+        "line 33: `fleet.link_latency_ns` must be positive \
          (it is the conservative lookahead of the cross-host cut)",
     );
 }
@@ -353,7 +354,7 @@ fn zero_fleet_link_bandwidth_is_rejected() {
         &text,
         "link_gbps = 0.0",
         Some("fleet.link_gbps"),
-        "line 35: `fleet.link_gbps` must be positive",
+        "line 34: `fleet.link_gbps` must be positive",
     );
 }
 
