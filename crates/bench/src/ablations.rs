@@ -128,7 +128,7 @@ pub fn run_jobs(matrix: u32, jobs: Jobs) -> (Vec<Ablation>, serde::Value) {
     (all, serde::Value::Seq(values))
 }
 
-/// The matrix size the ablations bin uses at each scale.
+/// The matrix size the ablations use at each scale.
 pub fn matrix_size(scale: crate::Scale) -> u32 {
     scale.pick(256, 1024)
 }
@@ -142,13 +142,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
         print(&all, matrix);
     }
     value
-}
-
-/// Run all ablations and print them.
-pub fn run_and_print(matrix: u32) -> Vec<Ablation> {
-    let (all, _) = run_jobs(matrix, Jobs::from_env());
-    print(&all, matrix);
-    all
 }
 
 /// Print the ablation series.

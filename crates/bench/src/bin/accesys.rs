@@ -1,18 +1,24 @@
-//! `accesys` — the spec front-end CLI: run, validate and list text
-//! scenario files.
+//! `accesys` — the one experiment front end: run the paper's figures
+//! and tables by name, and run, validate and list text scenario files.
 //!
 //! ```text
+//! accesys exp fig4 --jobs 8
+//! accesys exp all --full --json
 //! accesys run specs/paper_baseline.spec --json --jobs 4
 //! accesys validate specs/*.spec
 //! accesys list
 //! ```
 //!
+//! `exp` runs one entry of [`accesys_bench::EXPERIMENTS`] by name, or
+//! every entry in order with `all` (one combined JSON map under
+//! `--json`; per-experiment wall time on stderr).
+//!
 //! `run` loads a scenario file through the staged loader (parse →
 //! resolve → validate), dispatches it to the driver of its kind, and
-//! prints the same table (or `--json` document) as the dedicated bin
-//! for that experiment family. A bare name (`paper_baseline`) resolves
+//! prints the same table (or `--json` document) as `accesys exp` for
+//! that experiment family. A bare name (`paper_baseline`) resolves
 //! against the committed library embedded in the binary, so `accesys
-//! run fig2`'s spelling is `accesys run paper_baseline` from any
+//! exp fig2`'s spec spelling is `accesys run paper_baseline` from any
 //! directory.
 //!
 //! `validate` loads every named file, dry-builds its topologies and
@@ -23,13 +29,18 @@
 //! with its line and field — never a panic.
 
 use accesys_bench::specs::LIBRARY;
-use accesys_bench::{decode, fig2, fleet, graph, serve, topo, Scale};
+use accesys_bench::{decode, fig2, fleet, graph, serve, topo, Scale, EXPERIMENTS};
 use accesys_exp::cli::{self, Cli, CliError};
 use accesys_spec::{Scenario, Spec, SpecError};
+use std::time::Instant;
 
 const USAGE: &str = "usage: accesys <command> [args]
 
 commands:
+  exp <name>|all [--jobs N] [--json] [--full]
+                  run one paper figure/table/extension experiment by
+                  name (fig2, table4, decode, ...), or every one in
+                  order with `all`
   run <spec> [--jobs N] [--json] [--full]
                   load a scenario file, validate it, and run its sweep
                   (<spec> is a file path, or the bare name of a
@@ -40,7 +51,7 @@ commands:
   list            show the committed specs/ library
   help            show this help
 
-run flags:
+exp/run flags:
   --jobs N, -j N  run the sweep on N worker threads
                   (default: ACCESYS_JOBS, else all cores)
   --json          emit the machine-readable sweep result on stdout
@@ -49,6 +60,7 @@ run flags:
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
+        Some("exp") => cmd_exp(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("list") => cmd_list(),
@@ -68,9 +80,10 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Split a subcommand's arguments into positional spec names and the
-/// shared sweep flags (`--jobs` keeps its value attached).
-fn split_args(args: &[String]) -> Result<(Vec<&str>, Cli), CliError> {
+/// Split a subcommand's arguments into positional names and the shared
+/// sweep flags (`--jobs` keeps its value attached). On `--help` or a bad
+/// flag, print the usage and return the exit code instead (0 or 2).
+fn split_args<'a>(cmd: &str, args: &'a [String]) -> Result<(Vec<&'a str>, Cli), i32> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut iter = args.iter();
@@ -86,7 +99,17 @@ fn split_args(args: &[String]) -> Result<(Vec<&str>, Cli), CliError> {
             positional.push(arg.as_str());
         }
     }
-    Ok((positional, Cli::parse(flags.into_iter())?))
+    match Cli::parse(flags.into_iter()) {
+        Ok(cli) => Ok((positional, cli)),
+        Err(CliError::Help) => {
+            println!("{USAGE}");
+            Err(0)
+        }
+        Err(err) => {
+            eprintln!("accesys {cmd}: {err}\n\n{USAGE}");
+            Err(2)
+        }
+    }
 }
 
 /// Load a spec argument: an existing file path wins; otherwise a bare
@@ -108,17 +131,73 @@ fn load(name: &str) -> Result<Spec, SpecError> {
     })
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let (names, cli) = match split_args(args) {
+fn cmd_exp(args: &[String]) -> i32 {
+    let (names, cli) = match split_args("exp", args) {
         Ok(split) => split,
-        Err(CliError::Help) => {
-            println!("{USAGE}");
-            return 0;
+        Err(code) => return code,
+    };
+    let [name] = names[..] else {
+        eprintln!("accesys exp: exactly one experiment name (or `all`) is required\n\n{USAGE}");
+        return 2;
+    };
+    let value = if name == "all" {
+        run_all(&cli)
+    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+        run(&cli)
+    } else {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "accesys exp: unknown experiment `{name}` (valid: {}, all)\n\n{USAGE}",
+            valid.join(", ")
+        );
+        return 2;
+    };
+    if cli.json {
+        cli::emit_json(&value);
+    }
+    0
+}
+
+/// Regenerate every table and figure in one go: one combined JSON map
+/// keyed by experiment. Per-experiment wall-clock goes to stderr so
+/// stdout stays byte-identical across worker counts.
+fn run_all(cli: &Cli) -> serde::Value {
+    if !cli.json {
+        // The worker count goes to stderr only: stdout must stay
+        // byte-identical between --jobs 1 and --jobs N runs.
+        println!(
+            "== scale: {:?} (set ACCESYS_FULL=1 for paper sizes) ==\n",
+            cli.scale
+        );
+    }
+    eprintln!("# jobs: {}", cli.jobs);
+    let start = Instant::now();
+    let mut combined = Vec::new();
+    for (i, (name, run)) in EXPERIMENTS.iter().enumerate() {
+        if !cli.json {
+            if i > 0 {
+                println!();
+            }
+            if *name == "cxl" {
+                println!("== extensions ==\n");
+            }
         }
-        Err(err) => {
-            eprintln!("accesys run: {err}\n\n{USAGE}");
-            return 2;
-        }
+        let t0 = Instant::now();
+        combined.push((name.to_string(), run(cli)));
+        eprintln!("# {name}: total {:.2}s", t0.elapsed().as_secs_f64());
+    }
+    eprintln!(
+        "# all: {:.2}s wall (jobs={})",
+        start.elapsed().as_secs_f64(),
+        cli.jobs
+    );
+    serde::Value::Map(combined)
+}
+
+fn cmd_run(args: &[String]) -> i32 {
+    let (names, cli) = match split_args("run", args) {
+        Ok(split) => split,
+        Err(code) => return code,
     };
     let [name] = names[..] else {
         eprintln!("accesys run: exactly one spec file is required\n\n{USAGE}");
@@ -150,16 +229,9 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_validate(args: &[String]) -> i32 {
-    let (names, _cli) = match split_args(args) {
+    let (names, _cli) = match split_args("validate", args) {
         Ok(split) => split,
-        Err(CliError::Help) => {
-            println!("{USAGE}");
-            return 0;
-        }
-        Err(err) => {
-            eprintln!("accesys validate: {err}\n\n{USAGE}");
-            return 2;
-        }
+        Err(code) => return code,
     };
     if names.is_empty() {
         eprintln!("accesys validate: at least one spec file is required\n\n{USAGE}");

@@ -84,13 +84,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
     })
 }
 
-/// Run and print the scaling table.
-pub fn run_and_print(scale: Scale) -> Vec<ClusterRow> {
-    let rows = run(scale);
-    print(&rows, scale);
-    rows
-}
-
 /// Print the scaling table.
 pub fn print(rows: &[ClusterRow], scale: Scale) {
     let base_c = rows[0].compute_bound_ns;

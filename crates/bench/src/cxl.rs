@@ -85,13 +85,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
     serde::Serialize::to_value(&result)
 }
 
-/// Run and print the comparison table.
-pub fn run_and_print(scale: Scale) -> Vec<CxlRow> {
-    let rows = run(scale);
-    print(&rows);
-    rows
-}
-
 /// Print the comparison table.
 pub fn print(rows: &[CxlRow]) {
     println!("# CXL vs PCIe (extension): GEMM execution time, DDR4 host memory");

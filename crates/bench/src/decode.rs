@@ -19,8 +19,9 @@
 //! decoders must evict each other, and the pressure shows up as
 //! host-memory `Transfer` traffic in the row). The testbed, request
 //! shape, traffic, policy, budgets and sweep axes lower from the
-//! committed `specs/llm_decode.spec`; the `decode_perf` bin turns the
-//! saturation goodput ratio into a CI bar.
+//! committed `specs/llm_decode.spec`; this module's tests hold the
+//! saturation goodput ratio and the tight-budget evictions to their
+//! bars.
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
@@ -40,31 +41,12 @@ pub fn rates(_scale: Scale) -> Vec<f64> {
     scenario().rates.clone()
 }
 
-/// Trace horizon in virtual nanoseconds.
-pub fn horizon_ns(scale: Scale) -> u64 {
-    scenario().traffic.horizon_ns.pick(scale)
-}
-
-/// The request every client sends: a tiny two-layer autoregressive
-/// model, short prompt, a handful of generated tokens —
-/// compute-dominated so serving stresses the scheduler and the KV
-/// model, not streaming bandwidth.
-pub fn request_shape(_scale: Scale) -> LlmRequestShape {
-    scenario().request
-}
-
 /// The per-device KV budget of a named regime, in bytes.
 pub fn kv_budget(budget: &str, shape: &LlmRequestShape) -> u64 {
     scenario()
         .kv
         .budget_bytes(budget, shape)
         .unwrap_or_else(|| panic!("unknown KV budget regime {budget:?}"))
-}
-
-/// Latency SLO (arrival → EOS): completions slower than this do not
-/// count as goodput.
-pub fn slo_ns(_scale: Scale) -> f64 {
-    scenario().policy.slo_ns
 }
 
 /// One decode-serving measurement: one arrival rate on one tree shape
@@ -225,11 +207,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<DecodeRow> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the sweep (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<DecodeRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -245,18 +222,6 @@ pub fn run_cli_for(sc: &DecodeScenario, cli: &Cli) -> serde::Value {
             cli.scale,
         )
     })
-}
-
-/// Run and print the decode table.
-pub fn run_and_print(scale: Scale) -> Vec<DecodeRow> {
-    let rows = run(scale);
-    print(&rows, scale);
-    rows
-}
-
-/// Print the decode table.
-pub fn print(rows: &[DecodeRow], scale: Scale) {
-    print_for(scenario(), rows, scale)
 }
 
 /// Print the decode table of an arbitrary decode scenario.

@@ -148,14 +148,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
     value
 }
 
-/// Run and print both tables.
-pub fn run_and_print(scale: Scale) -> (Vec<EnergyRow>, Vec<PolicyRow>) {
-    let rows = run(scale);
-    let policies = run_policies(scale);
-    print(&rows, &policies, scale);
-    (rows, policies)
-}
-
 /// Print both tables.
 pub fn print(rows: &[EnergyRow], policies: &[PolicyRow], scale: Scale) {
     println!(

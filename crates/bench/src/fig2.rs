@@ -18,11 +18,6 @@ pub fn scenario() -> &'static RooflineScenario {
     specs::roofline()
 }
 
-/// Matrix size at each scale (paper: 1024).
-pub fn matrix_size(scale: Scale) -> u32 {
-    scenario().matrix.pick(scale)
-}
-
 /// Measure one roofline point on the committed testbed.
 pub fn measure(compute_ns: f64, matrix: u32) -> RooflinePoint {
     measure_on(&scenario().system, compute_ns, matrix)
@@ -65,11 +60,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<RooflinePoint> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the sweep (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<RooflinePoint> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -85,18 +75,6 @@ pub fn run_cli_for(sc: &RooflineScenario, cli: &Cli) -> serde::Value {
             cli.scale,
         )
     })
-}
-
-/// Run and print the figure's series.
-pub fn run_and_print(scale: Scale) -> Vec<RooflinePoint> {
-    let points = run(scale);
-    print(&points, scale);
-    points
-}
-
-/// Print the figure's series.
-pub fn print(points: &[RooflinePoint], scale: Scale) {
-    print_for(scenario(), points, scale)
 }
 
 /// Print the series of an arbitrary roofline scenario.

@@ -6,7 +6,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
 use accesys_workload::GemmSpec;
 
@@ -59,16 +59,6 @@ fn curves(points: &[((u32, f64), f64)]) -> Vec<LaneCurve> {
         .collect()
 }
 
-/// Run the sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<LaneCurve> {
-    curves(&experiment(scale).run(jobs).points)
-}
-
-/// Run the sweep (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<LaneCurve> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -88,13 +78,6 @@ pub fn spread(curves: &[LaneCurve]) -> f64 {
         }
     }
     hi / lo
-}
-
-/// Run and print the figure's series.
-pub fn run_and_print(scale: Scale) -> Vec<LaneCurve> {
-    let curves = run(scale);
-    print(&curves, scale);
-    curves
 }
 
 /// Print the figure's series.

@@ -6,7 +6,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
 use accesys_workload::GemmSpec;
 
@@ -85,29 +85,12 @@ fn curves(points: &[((f64, u32), f64)]) -> Vec<PacketCurve> {
         .collect()
 }
 
-/// Run the sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<PacketCurve> {
-    curves(&experiment(scale).run(jobs).points)
-}
-
-/// Run the full sweep (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<PacketCurve> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment(cli.scale), |r| {
         print(&curves(&r.points), cli.scale)
     })
-}
-
-/// Run and print the figure's series.
-pub fn run_and_print(scale: Scale) -> Vec<PacketCurve> {
-    let curves = run(scale);
-    print(&curves, scale);
-    curves
 }
 
 /// Print the figure's series.

@@ -6,7 +6,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
 use accesys_workload::GemmSpec;
 
@@ -55,16 +55,6 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = MemTech, Out = MemRow
     })
 }
 
-/// Run the comparison on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<MemRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run the comparison (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<MemRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -74,13 +64,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
             cli.scale,
         )
     })
-}
-
-/// Run and print normalized speedups (reference: DDR4 device-side).
-pub fn run_and_print(scale: Scale) -> Vec<MemRow> {
-    let rows = run(scale);
-    print(&rows, scale);
-    rows
 }
 
 /// Print normalized speedups (reference: DDR4 device-side).

@@ -6,7 +6,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::SimpleMemoryConfig;
 use accesys_workload::GemmSpec;
 
@@ -56,26 +56,6 @@ pub fn latency_experiment(scale: Scale) -> impl Experiment<Point = f64, Out = f6
     Grid::new("fig6b_latency", LATENCIES).sweep(move |&lat| measure(64.0, lat, matrix))
 }
 
-/// Run the bandwidth sweep on `jobs` workers (latency pinned at 18 ns).
-pub fn run_bandwidth_jobs(scale: Scale, jobs: Jobs) -> Sweep {
-    bandwidth_experiment(scale).run(jobs).points
-}
-
-/// Run the bandwidth sweep (latency pinned at 18 ns).
-pub fn run_bandwidth(scale: Scale) -> Sweep {
-    run_bandwidth_jobs(scale, Jobs::from_env())
-}
-
-/// Run the latency sweep on `jobs` workers (bandwidth pinned at 64 GB/s).
-pub fn run_latency_jobs(scale: Scale, jobs: Jobs) -> Sweep {
-    latency_experiment(scale).run(jobs).points
-}
-
-/// Run the latency sweep (bandwidth pinned at 64 GB/s).
-pub fn run_latency(scale: Scale) -> Sweep {
-    run_latency_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print both panels unless `--json`; return
 /// the machine-readable sweep values.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -91,14 +71,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
         print(&bw.points, &lat.points, cli.scale);
     }
     value
-}
-
-/// Run and print both panels.
-pub fn run_and_print(scale: Scale) -> (Sweep, Sweep) {
-    let bw = run_bandwidth(scale);
-    let lat = run_latency(scale);
-    print(&bw, &lat, scale);
-    (bw, lat)
 }
 
 /// Print both panels.

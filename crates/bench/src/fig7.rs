@@ -10,7 +10,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{Simulation, SystemConfig, VitReport};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
 use accesys_workload::VitModel;
 
@@ -103,16 +103,6 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = (VitModel, SystemKind
         .sweep(|&(model, system)| measure(model, system))
 }
 
-/// Run the grid on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<VitCell> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run the grid (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<VitCell> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the tables unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -128,14 +118,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
         );
     }
     serde::Serialize::to_value(&result)
-}
-
-/// Run and print Fig. 7 (total speedups) and Fig. 8 (GEMM / Non-GEMM
-/// split).
-pub fn run_and_print(scale: Scale) -> Vec<VitCell> {
-    let cells = run(scale);
-    print(&cells);
-    cells
 }
 
 /// Print Fig. 7 and Fig. 8 from measured cells.

@@ -95,13 +95,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
     value
 }
 
-/// Run and print the Fig. 9 series and thresholds.
-pub fn run_and_print(scale: Scale) -> Vec<ThresholdRow> {
-    let rows = run(scale);
-    print(&rows);
-    rows
-}
-
 /// Print the Fig. 9 series and thresholds.
 pub fn print(rows: &[ThresholdRow]) {
     println!("# Fig 9: total time (us) vs Non-GEMM fraction (ViT-Base phase times)");

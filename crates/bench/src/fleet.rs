@@ -226,13 +226,6 @@ pub fn experiment_for(sc: &FleetScenario, scale: Scale) -> FleetSweep {
     }
 }
 
-/// Run the committed sweep.
-pub fn run(scale: Scale) -> Vec<FleetRow> {
-    experiment_for(scenario(), scale)
-        .run(Jobs::serial())
-        .into_outputs()
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value. Stdout is byte-identical at any
 /// `--jobs`.
@@ -248,11 +241,6 @@ pub fn run_cli_for(sc: &FleetScenario, cli: &Cli) -> serde::Value {
             &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
         )
     })
-}
-
-/// Print the fleet table.
-pub fn print(rows: &[FleetRow]) {
-    print_for(scenario(), rows)
 }
 
 /// Print the fleet table of an arbitrary fleet scenario.

@@ -30,19 +30,6 @@ pub fn scenario() -> &'static PipelineScenario {
     specs::pipeline()
 }
 
-/// Encoder geometry at each scale: `(seq, hidden, heads, mlp)` —
-/// scaled-down synthetic dims for quick runs, ViT-Base for paper scale.
-pub fn encoder_dims(scale: Scale) -> (u32, u32, u32, u32) {
-    let d = scenario().dims.pick(scale);
-    (d.seq, d.hidden, d.heads, d.mlp)
-}
-
-/// Pipeline workload at each scale: `(layers, images)`.
-pub fn workload_size(scale: Scale) -> (u32, u32) {
-    let sc = scenario();
-    (sc.layers.pick(scale), sc.images.pick(scale))
-}
-
 /// One schedule-shape measurement on one tree shape.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct GraphRow {
@@ -132,24 +119,6 @@ pub fn measure_for(sc: &PipelineScenario, shape: &str, scale: Scale) -> GraphRow
     }
 }
 
-/// Run just the pipelined schedule on `shape` and hand back the full
-/// report + plan (the `graph_perf` bin reads kernel event counts off
-/// it).
-pub fn instrumented_pipeline_run(
-    shape: &str,
-    scale: Scale,
-) -> (accesys::VitReport, accesys::DispatchPlan) {
-    let sc = scenario();
-    let levels = parse_shape(shape);
-    let endpoints: u32 = levels.iter().product();
-    let pipeline = pipeline_graph(sc, endpoints, scale);
-    sc.system
-        .simulation(&levels)
-        .expect("validated spec testbed builds")
-        .run_graph_planned(&pipeline)
-        .expect("pipeline completes")
-}
-
 /// The sweep as a declarative experiment over the scenario's shapes.
 pub fn experiment(scale: Scale) -> impl Experiment<Point = String, Out = GraphRow> {
     experiment_for(scenario(), scale)
@@ -189,18 +158,6 @@ pub fn run_cli_for(sc: &PipelineScenario, cli: &Cli) -> serde::Value {
             cli.scale,
         )
     })
-}
-
-/// Run and print the scaling table.
-pub fn run_and_print(scale: Scale) -> Vec<GraphRow> {
-    let rows = run(scale);
-    print(&rows, scale);
-    rows
-}
-
-/// Print the scaling table.
-pub fn print(rows: &[GraphRow], scale: Scale) {
-    print_for(scenario(), rows, scale)
 }
 
 /// Print the scaling table of an arbitrary pipeline scenario.

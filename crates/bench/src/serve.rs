@@ -18,14 +18,14 @@
 //! The testbed, request shape, traffic, policy and sweep axes lower
 //! from the committed `specs/two_tenant_mix.spec`. The ratio of
 //! saturation goodput between the two regimes is the win the serving
-//! layer extracts from hardware the topology already paid for; the
-//! `serve_perf` bin turns it into a CI bar.
+//! layer extracts from hardware the topology already paid for; this
+//! module's tests hold it above 1.
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
 use crate::{specs, Scale};
 use accesys_exp::{Experiment, Grid, Jobs};
-use accesys_serve::{serve, RequestShape, ServeConfig, ServeReport};
+use accesys_serve::{serve, ServeConfig, ServeReport};
 use accesys_spec::ServingScenario;
 
 /// The committed scenario this sweep lowers from.
@@ -38,24 +38,6 @@ pub fn scenario() -> &'static ServingScenario {
 /// resolved).
 pub fn rates(_scale: Scale) -> Vec<f64> {
     scenario().rates.clone()
-}
-
-/// Trace horizon in virtual nanoseconds.
-pub fn horizon_ns(scale: Scale) -> u64 {
-    scenario().traffic.horizon_ns.pick(scale)
-}
-
-/// The request every client sends: a compute-dominated two-layer
-/// encoder, small enough that its non-GEMM streams are negligible next
-/// to the per-job compute override — serving stresses the *scheduler*,
-/// not the CPU's streaming bandwidth.
-pub fn request_shape(_scale: Scale) -> RequestShape {
-    scenario().request
-}
-
-/// Latency SLO: completions slower than this do not count as goodput.
-pub fn slo_ns(_scale: Scale) -> f64 {
-    scenario().policy.slo_ns
 }
 
 /// One serving measurement: one arrival rate on one tree shape.
@@ -171,11 +153,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<ServeRow> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the sweep (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<ServeRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -191,18 +168,6 @@ pub fn run_cli_for(sc: &ServingScenario, cli: &Cli) -> serde::Value {
             cli.scale,
         )
     })
-}
-
-/// Run and print the serving table.
-pub fn run_and_print(scale: Scale) -> Vec<ServeRow> {
-    let rows = run(scale);
-    print(&rows, scale);
-    rows
-}
-
-/// Print the serving table.
-pub fn print(rows: &[ServeRow], scale: Scale) {
-    print_for(scenario(), rows, scale)
 }
 
 /// Print the serving table of an arbitrary serving scenario.

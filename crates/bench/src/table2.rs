@@ -75,14 +75,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
     })
 }
 
-/// Print Table II.
-pub fn run_and_print() {
-    println!("# Table II: system configuration");
-    for (k, v) in rows() {
-        println!("{k:<22} {v}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

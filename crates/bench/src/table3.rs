@@ -47,22 +47,6 @@ pub const TECHS: [MemTech; 5] = [
     MemTech::Gddr6,
 ];
 
-/// Print Table III from the presets.
-pub fn run_and_print() {
-    print(
-        &TECHS
-            .iter()
-            .map(|&tech| TechRow {
-                tech,
-                channels: tech.channels(),
-                data_width_bits: tech.data_width_bits(),
-                bandwidth_gbps: tech.bandwidth_gbps(),
-                data_rate_mts: tech.data_rate_mts(),
-            })
-            .collect::<Vec<_>>(),
-    );
-}
-
 /// Print Table III rows.
 pub fn print(rows: &[TechRow]) {
     println!("# Table III: memory configuration");

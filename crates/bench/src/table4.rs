@@ -7,7 +7,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
 use accesys_smmu::SmmuStats;
 use accesys_workload::GemmSpec;
@@ -60,16 +60,6 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = u32, Out = Translatio
     Grid::new("table4", matrix_sizes(scale)).sweep(|&matrix| measure(matrix))
 }
 
-/// Run all rows on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<TranslationRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run all rows (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<TranslationRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -85,13 +75,6 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
         );
     }
     serde::Serialize::to_value(&result)
-}
-
-/// Run and print the table (times in CPU cycles at 1 GHz = ns).
-pub fn run_and_print(scale: Scale) -> Vec<TranslationRow> {
-    let rows = run(scale);
-    print(&rows);
-    rows
 }
 
 /// Print the table.

@@ -47,11 +47,6 @@ pub fn parse_shape(shape: &str) -> Vec<u32> {
     accesys_spec::parse_shape(shape).expect("shape levels are positive integers")
 }
 
-/// Matrix size at each scale.
-pub fn matrix_size(scale: Scale) -> u32 {
-    scenario().matrix.pick(scale)
-}
-
 fn sharded_report(system: &SystemSpec, levels: &[u32], matrix: u32) -> accesys::RunReport {
     let mut sim = system
         .simulation(levels)
@@ -100,11 +95,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<TopoRow> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the sweep (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<TopoRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -120,18 +110,6 @@ pub fn run_cli_for(sc: &TopoScenario, cli: &Cli) -> serde::Value {
             cli.scale,
         )
     })
-}
-
-/// Run and print the scaling table.
-pub fn run_and_print(scale: Scale) -> Vec<TopoRow> {
-    let rows = run(scale);
-    print(&rows, scale);
-    rows
-}
-
-/// Print the scaling table.
-pub fn print(rows: &[TopoRow], scale: Scale) {
-    print_for(scenario(), rows, scale)
 }
 
 /// Print the scaling table of an arbitrary topo scenario.

@@ -6,7 +6,7 @@
 //! (`fig2 --jobs 1 --json` at quick scale, PR 3 HEAD). Any timing or
 //! serialization drift in the lowered baseline shows up here as a byte
 //! diff. Regenerate the golden only for *intentional* model changes:
-//! `cargo run --release -p accesys-bench --bin fig2 -- --jobs 1 --json`.
+//! `cargo run --release -p accesys-bench --bin accesys -- exp fig2 --jobs 1 --json`.
 
 use accesys_bench::{fig2, Scale};
 use accesys_exp::{Experiment, Jobs};

@@ -168,8 +168,8 @@ pub struct Cache {
     probing: FxHashMap<u64, Vec<LineOp>>,
     /// Emptied waiter lists kept for reuse: every miss needs a fresh
     /// `Vec<LineOp>`, and recycling the retired ones keeps the steady
-    /// state free of per-miss heap traffic (the `perf` bin's
-    /// allocation diet counts every allocator hit).
+    /// state free of per-miss heap traffic (the root crate's
+    /// `tests/alloc_diet.rs` counts every allocator hit).
     spare_waiters: Vec<Vec<LineOp>>,
     // stats
     hits: u64,

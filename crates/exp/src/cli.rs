@@ -1,6 +1,7 @@
-//! Shared command-line interface of the experiment binaries.
+//! Shared command-line interface of the experiment front end.
 //!
-//! Every sweep bin accepts the same flags, parsed by [`Cli`]:
+//! Every `accesys exp` and `accesys run` sweep accepts the same flags,
+//! parsed by [`Cli`]:
 //!
 //! * `--jobs N` / `-j N` — worker threads for the sweep (default:
 //!   `ACCESYS_JOBS`, else all cores),
@@ -10,13 +11,13 @@
 //!
 //! Parsing never panics: every malformed argument is a typed
 //! [`CliError`] ([`CliError::UnknownFlag`] for flags the harness does
-//! not know), which [`Cli::from_env`] renders with the usage text.
+//! not know), which the `accesys` CLI renders with its usage text.
 //! Wall-clock notes always go to **stderr**, so stdout stays
 //! byte-identical between `--jobs 1` and `--jobs N` runs.
 
 use crate::{Experiment, Jobs, Scale, SweepResult};
 
-/// Parsed command-line options shared by every experiment bin.
+/// Parsed command-line options shared by every experiment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cli {
     /// Workload scale.
@@ -73,22 +74,6 @@ impl Cli {
         }
     }
 
-    /// Parse `std::env::args`, honouring `ACCESYS_FULL` / `ACCESYS_JOBS`
-    /// as defaults. Prints usage and exits on `--help` or a bad flag.
-    pub fn from_env(bin: &str) -> Cli {
-        match Cli::parse(std::env::args().skip(1)) {
-            Ok(cli) => cli,
-            Err(CliError::Help) => {
-                println!("{}", usage(bin));
-                std::process::exit(0);
-            }
-            Err(err) => {
-                eprintln!("{bin}: {err}\n\n{}", usage(bin));
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Parse an argument iterator (no environment interaction beyond the
     /// `ACCESYS_FULL` / `ACCESYS_JOBS` defaults).
     ///
@@ -131,21 +116,6 @@ fn parse_jobs(value: &str) -> Result<Jobs, CliError> {
         Ok(n) if n > 0 => Ok(Jobs::new(n)),
         _ => Err(CliError::BadJobs(value.to_string())),
     }
-}
-
-/// The usage text every sweep bin shares.
-pub fn usage(bin: &str) -> String {
-    format!(
-        "usage: {bin} [--jobs N] [--json] [--full]\n\
-         \n\
-         --jobs N, -j N  run the sweep on N worker threads\n\
-         \x20                (default: ACCESYS_JOBS, else all cores)\n\
-         --json          emit the machine-readable sweep result on stdout\n\
-         --full          paper-scale workload sizes where applicable\n\
-         \x20                (same as ACCESYS_FULL=1; scale-independent\n\
-         \x20                bins such as probe/table2/table3 ignore it)\n\
-         --help, -h      show this help"
-    )
 }
 
 /// Run `exp` at the CLI's settings: note wall-clock on stderr, invoke

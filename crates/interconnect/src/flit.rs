@@ -7,7 +7,7 @@
 //! store-and-forward switch on the direct-attach path. A [`FlitLink`]
 //! models one direction of such a port. The paper evaluates PCIe only;
 //! this module implements the natural next interconnect its title points
-//! at, and the `cxl_vs_pcie` bench compares the two.
+//! at, and the `cxl` experiment (`accesys exp cxl`) compares the two.
 
 use accesys_sim::{units, CreditClass, Ctx, Module, ModuleId, Msg, Packet, PacketBox, Stats, Tick};
 use std::collections::VecDeque;
@@ -108,7 +108,7 @@ impl FlitLinkConfig {
 /// with a single flit-granular credit pool. Compared to [`crate::PcieLink`]
 /// there is no per-TLP header penalty and — used point-to-point — none of
 /// the RC/switch hierarchy latency, which is exactly the trade the
-/// `cxl_vs_pcie` experiment measures.
+/// `cxl` experiment measures.
 pub struct FlitLink {
     name: String,
     cfg: FlitLinkConfig,

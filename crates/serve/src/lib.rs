@@ -33,7 +33,7 @@
 //!
 //! Determinism is end to end: a seeded spec replayed twice is
 //! byte-identical, and so is the report it produces — on one worker or
-//! many (`serve_scaling --jobs 1` vs `--jobs N` in CI).
+//! many (`accesys exp serve --jobs 1` vs `--jobs 4` in CI).
 //!
 //! ## Quickstart
 //!

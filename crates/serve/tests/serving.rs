@@ -160,7 +160,7 @@ proptest! {
 
     /// A seeded arrival trace replayed twice is byte-identical, and so
     /// is the full serve report it produces on a fresh simulation —
-    /// the end-to-end determinism contract the `serve_scaling` CI
+    /// the end-to-end determinism contract the `accesys exp serve` CI
     /// check rests on.
     #[test]
     fn seeded_serves_replay_byte_identically(

@@ -364,7 +364,7 @@ impl Kernel {
     }
 
     /// High-water mark of the event queue (pending events), for capacity
-    /// planning and the perf harness.
+    /// planning and perf reports.
     pub fn peak_queue_depth(&self) -> usize {
         self.queue.peak_len()
     }

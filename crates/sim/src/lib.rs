@@ -67,7 +67,7 @@ pub use kernel::{Ctx, Kernel, RunLimit, SimError};
 pub use msg::{Credit, CreditClass, Msg};
 pub use packet::{MemCmd, Packet, RouteStack, MAX_ROUTE_DEPTH};
 pub use pool::{PacketBox, PacketPool, PoolStats};
-pub use sched::{BaselineQueue, EventQueue};
+pub use sched::EventQueue;
 pub use stats::Stats;
 pub use trace::{PacketTrace, TraceRow, Tracer};
 

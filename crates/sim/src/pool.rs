@@ -10,8 +10,8 @@
 //! dropping a [`PacketBox`] pushes its storage back onto the list. After
 //! a short warm-up the pool reaches the simulation's peak packet
 //! concurrency and the hot loop stops touching the allocator entirely —
-//! the `perf` bin's allocation-counting harness measures exactly this as
-//! `steady_state_allocs_per_event`.
+//! the root crate's `tests/alloc_diet.rs` counts allocator hits across a
+//! warmed run to check exactly this.
 //!
 //! The free list is thread-local on purpose: every kernel runs on one
 //! thread (parallel sweeps run whole simulations side by side on the
@@ -48,8 +48,7 @@ thread_local! {
     /// Boxes recycled from the free list.
     static REUSED: Cell<u64> = const { Cell::new(0) };
     /// Effective free-list capacity: [`POOL_CAP`] normally, 0 while the
-    /// pool is bypassed (every alloc then hits the global allocator —
-    /// the perf harness's pre-change reconstruction).
+    /// pool is bypassed (every alloc then hits the global allocator).
     static CAP: Cell<usize> = const { Cell::new(POOL_CAP) };
 }
 
@@ -115,9 +114,9 @@ impl PacketPool {
     ///
     /// While bypassed, every [`PacketPool::alloc`] draws a fresh box from
     /// the global allocator and every drop frees — exactly the
-    /// pre-pool behaviour. The perf harness uses this to reconstruct the
-    /// pre-change allocation profile in-process; behaviour is otherwise
-    /// unchanged (a fresh box and a recycled one are indistinguishable).
+    /// pre-pool behaviour. Simulated behaviour is unchanged (a fresh box
+    /// and a recycled one are indistinguishable), which the pool tests
+    /// check by running with and without it.
     pub fn set_bypass(on: bool) {
         CAP.with(|c| c.set(if on { 0 } else { POOL_CAP }));
         if on {

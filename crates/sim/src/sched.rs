@@ -21,9 +21,9 @@
 //!
 //! The queue preserves the kernel's determinism contract exactly: events
 //! drain in ascending `(when, seq)` total order, bit-for-bit identical to
-//! the plain-heap ordering ([`BaselineQueue`] is kept as the reference
-//! implementation; `tests/sched_equiv.rs` checks equivalence on random
-//! schedules, and `benches/sched.rs` measures the speedup).
+//! the plain-heap ordering (`tests/sched_equiv.rs` keeps a plain
+//! `BinaryHeap` as the reference and checks equivalence on random
+//! schedules).
 
 use crate::Tick;
 use std::cmp::Ordering;
@@ -352,185 +352,6 @@ impl<T> EventQueue<T> {
     }
 }
 
-/// Reference single-level scheduler: the plain `BinaryHeap` the kernel
-/// used before the two-level queue.
-///
-/// Kept (a) as the ordering oracle for the scheduler-equivalence
-/// property test and (b) as the baseline the perf harness
-/// (`accesys-bench`'s `perf` bin, `benches/sched.rs`) measures
-/// [`EventQueue`] against, so the speedup claim stays reproducible.
-pub struct BaselineQueue<T> {
-    heap: BinaryHeap<FarEntry<T>>,
-}
-
-impl<T> Default for BaselineQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> BaselineQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        BaselineQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Number of queued events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Append one event.
-    pub fn push(&mut self, when: Tick, seq: u64, payload: T) {
-        self.heap.push(FarEntry(Entry { when, seq, payload }));
-    }
-
-    /// Delivery tick of the earliest event without removing it.
-    pub fn peek_when(&mut self) -> Option<Tick> {
-        self.heap.peek().map(|e| e.0.when)
-    }
-
-    /// Remove and return the earliest event as `(when, seq, payload)`.
-    pub fn pop(&mut self) -> Option<(Tick, u64, T)> {
-        self.heap
-            .pop()
-            .map(|FarEntry(e)| (e.when, e.seq, e.payload))
-    }
-}
-
-/// Shared schedule/drain workload used by both `benches/sched.rs` and
-/// the `perf` bin in `accesys-bench`, so the CI-archived bench
-/// trajectory (`BENCH_kernel.json`) and the criterion microbenches
-/// always measure the *same* event profile. Not part of the simulation
-/// API (hidden from docs; no stability promises).
-#[doc(hidden)]
-pub mod bench_support {
-    use super::{BaselineQueue, EventQueue, Tick};
-    use crate::{Ctx, Kernel, Module, Msg};
-
-    /// Deterministic splitmix-style generator for delay patterns.
-    pub struct Lcg(pub u64);
-
-    impl Lcg {
-        /// Next raw 31-bit-ish sample.
-        pub fn sample(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0 >> 33
-        }
-
-        /// Mixed near/far delay: mostly within ~16k ticks, 1-in-64 far
-        /// (refresh-timer style) — the kernel's observed send profile.
-        pub fn delay(&mut self) -> u64 {
-            let r = self.sample();
-            if r.is_multiple_of(64) {
-                1_000_000 + (r % 1_000_000)
-            } else {
-                1 + (r % 16_384)
-            }
-        }
-    }
-
-    /// Self-rescheduling timer module: every delivery schedules one more
-    /// event, holding queue depth constant while events churn.
-    pub struct Pump {
-        remaining: u64,
-        lcg: Lcg,
-    }
-
-    impl Module for Pump {
-        fn name(&self) -> &str {
-            "pump"
-        }
-        fn handle(&mut self, _msg: Msg, ctx: &mut Ctx) {
-            if self.remaining == 0 {
-                return;
-            }
-            self.remaining -= 1;
-            let delay = self.lcg.delay();
-            ctx.timer(delay, 0);
-        }
-    }
-
-    /// Drive `total` events through a fresh kernel at ~`outstanding`
-    /// queue depth; returns `(events_processed, peak_queue_depth)`.
-    pub fn kernel_schedule_drain(total: u64, outstanding: u64) -> (u64, usize) {
-        let mut k = Kernel::new();
-        let id = k.add_module(Box::new(Pump {
-            remaining: total,
-            lcg: Lcg(0x9E3779B97F4A7C15),
-        }));
-        let mut seed = Lcg(42);
-        for _ in 0..outstanding {
-            k.schedule(seed.sample() % 16_384, id, Msg::Timer(0));
-        }
-        k.run_until_idle().expect("schedule/drain workload drains");
-        (k.events_processed(), k.peak_queue_depth())
-    }
-
-    /// The queue operations the schedule/drain driver needs, implemented
-    /// by both scheduler generations so they run identical workloads.
-    pub trait SchedQueue<T> {
-        /// Append one event.
-        fn push(&mut self, when: Tick, seq: u64, payload: T);
-        /// Remove and return the earliest event.
-        fn pop(&mut self) -> Option<(Tick, u64, T)>;
-    }
-
-    impl<T> SchedQueue<T> for EventQueue<T> {
-        fn push(&mut self, when: Tick, seq: u64, payload: T) {
-            EventQueue::push(self, when, seq, payload);
-        }
-        fn pop(&mut self) -> Option<(Tick, u64, T)> {
-            EventQueue::pop(self)
-        }
-    }
-
-    impl<T> SchedQueue<T> for BaselineQueue<T> {
-        fn push(&mut self, when: Tick, seq: u64, payload: T) {
-            BaselineQueue::push(self, when, seq, payload);
-        }
-        fn pop(&mut self) -> Option<(Tick, u64, T)> {
-            BaselineQueue::pop(self)
-        }
-    }
-
-    /// Push/pop `total` events (payloads built by `make`) through `q`
-    /// at ~`outstanding` depth with the standard delay profile; returns
-    /// the drained count.
-    pub fn queue_schedule_drain<T>(
-        q: &mut impl SchedQueue<T>,
-        total: u64,
-        outstanding: u64,
-        mut make: impl FnMut(u64) -> T,
-    ) -> u64 {
-        let mut lcg = Lcg(7);
-        let mut seq = 0u64;
-        for _ in 0..outstanding {
-            q.push(lcg.sample() % 16_384, seq, make(seq));
-            seq += 1;
-        }
-        let mut drained = 0u64;
-        while let Some((when, _, _)) = q.pop() {
-            drained += 1;
-            if seq < total {
-                q.push(when + lcg.delay(), seq, make(seq));
-                seq += 1;
-            }
-        }
-        drained
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,22 +466,5 @@ mod tests {
         q.push(5, 3, "early");
         assert_eq!(q.pop(), Some((5, 3, "early")));
         assert_eq!(q.peak_len(), 2);
-    }
-
-    #[test]
-    fn baseline_queue_matches_on_a_small_schedule() {
-        let mut a = EventQueue::new();
-        let mut b = BaselineQueue::new();
-        for (when, seq) in [(7u64, 0u64), (3, 1), (7, 2), (1 << 40, 3), (0, 4)] {
-            a.push(when, seq, seq);
-            b.push(when, seq, seq);
-        }
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
     }
 }

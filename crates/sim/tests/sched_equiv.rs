@@ -1,23 +1,55 @@
 //! Scheduler equivalence property test: random kernel-shaped schedules
-//! must drain in *identical* order through the old single-heap semantics
-//! ([`BaselineQueue`]) and the new two-level [`EventQueue`].
+//! must drain in *identical* order through a plain binary heap
+//! ([`BaselineQueue`], the single-level scheduler the kernel used before
+//! the two-level queue) and the two-level [`EventQueue`].
 //!
 //! The generator mimics real kernel usage: pushes never precede the last
 //! popped tick (the kernel clamps every schedule to `now`, including
 //! `send_at`'s clamp), bursts land many events on one tick, and a slice
 //! of events goes far beyond the calendar horizon.
 
-use accesys_sim::{BaselineQueue, EventQueue, Tick};
+use accesys_sim::{EventQueue, Tick};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Reference scheduler: a plain min-heap on `(when, seq)`.
+struct BaselineQueue {
+    heap: BinaryHeap<Reverse<(Tick, u64, u64)>>,
+}
+
+impl BaselineQueue {
+    fn new() -> Self {
+        BaselineQueue {
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn push(&mut self, when: Tick, seq: u64, payload: u64) {
+        self.heap.push(Reverse((when, seq, payload)));
+    }
+
+    fn peek_when(&self) -> Option<Tick> {
+        self.heap.peek().map(|Reverse((when, _, _))| *when)
+    }
+
+    fn pop(&mut self) -> Option<(Tick, u64, u64)> {
+        self.heap.pop().map(|Reverse(event)| event)
+    }
+}
 
 /// One randomized schedule: interleaved pushes and pops driven by
 /// `seed`, checked step by step against the reference heap.
 fn check_random_schedule(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut new_q: EventQueue<u64> = EventQueue::new();
-    let mut ref_q: BaselineQueue<u64> = BaselineQueue::new();
+    let mut ref_q = BaselineQueue::new();
     let mut seq = 0u64;
     let mut now: Tick = 0;
 
@@ -86,11 +118,10 @@ proptest! {
 #[test]
 fn tick_max_and_horizon_edges_agree() {
     // Deterministic edge cases on top of the random sweep: events at the
-    // exact ring horizon, one past it, and Tick::MAX.
+    // exact ring horizon, one past it, and Tick::MAX; then a small
+    // schedule with a same-tick pair and one far event.
     let horizon = accesys_sim::sched::BUCKET_TICKS * accesys_sim::sched::NUM_BUCKETS as u64;
-    let mut new_q: EventQueue<u64> = EventQueue::new();
-    let mut ref_q: BaselineQueue<u64> = BaselineQueue::new();
-    for (i, when) in [
+    let edges = [
         horizon - 1,
         horizon,
         horizon + 1,
@@ -98,18 +129,21 @@ fn tick_max_and_horizon_edges_agree() {
         Tick::MAX,
         Tick::MAX - 1,
         horizon * 2,
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        new_q.push(when, i as u64, i as u64);
-        ref_q.push(when, i as u64, i as u64);
-    }
-    loop {
-        let (a, b) = (new_q.pop(), ref_q.pop());
-        assert_eq!(a, b);
-        if a.is_none() {
-            break;
+    ];
+    let small = [7, 3, 7, 1 << 40, 0];
+    for schedule in [&edges[..], &small[..]] {
+        let mut new_q: EventQueue<u64> = EventQueue::new();
+        let mut ref_q = BaselineQueue::new();
+        for (seq, &when) in (0u64..).zip(schedule) {
+            new_q.push(when, seq, seq);
+            ref_q.push(when, seq, seq);
+        }
+        loop {
+            let (a, b) = (new_q.pop(), ref_q.pop());
+            assert_eq!(a, b, "schedule {schedule:?} diverged");
+            if a.is_none() {
+                break;
+            }
         }
     }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Error> {
         );
     }
     println!("\nWith the default (fast) array the job is transfer-bound, so extra");
-    println!("members mostly contend for the shared 8 GB/s uplink. Re-run the");
-    println!("`cluster_scaling` bench to see the compute-bound regime scale near-linearly.");
+    println!("members mostly contend for the shared 8 GB/s uplink. Run");
+    println!("`accesys exp cluster` to see the compute-bound regime scale near-linearly.");
     Ok(())
 }
