@@ -1,6 +1,6 @@
 //! The accelerator wrapper controller: blocking, double buffering, MSI.
 
-use crate::{AccelJob, ChildWorker, ComputeBackend, SystolicArray, SystolicConfig};
+use crate::{AccelJob, SystolicArray, SystolicConfig};
 use accesys_dma::{DmaDescriptor, DmaDone};
 use accesys_sim::{units, Ctx, MemCmd, Module, ModuleId, Msg, Packet, Stats, Tick};
 use std::collections::VecDeque;
@@ -178,7 +178,7 @@ impl Run {
 pub struct AccelController {
     name: String,
     cfg: AccelControllerConfig,
-    backend: ComputeBackend,
+    array: SystolicArray,
     dma: ModuleId,
     ep: ModuleId,
     queue: VecDeque<AccelJob>,
@@ -198,7 +198,7 @@ impl AccelController {
         AccelController {
             name: name.to_string(),
             cfg,
-            backend: ComputeBackend::InProcess(SystolicArray::new(cfg.array)),
+            array: SystolicArray::new(cfg.array),
             dma,
             ep,
             queue: VecDeque::new(),
@@ -208,23 +208,6 @@ impl AccelController {
             doorbells: 0,
             mmio_reads: 0,
             msis: 0,
-        }
-    }
-
-    /// Switch compute to a spawned worker child process (Table I's
-    /// "Child process (Multi-threaded)" accelerator model). Timing is
-    /// identical to the in-process model; the functional GEMM runs in
-    /// the child.
-    pub fn with_child_worker(mut self, worker: ChildWorker) -> Self {
-        self.backend = ComputeBackend::Child(Box::new(worker));
-        self
-    }
-
-    /// Which process model serves compute: `"in-process"` or `"child"`.
-    pub fn process_model(&self) -> &'static str {
-        match self.backend {
-            ComputeBackend::InProcess(_) => "in-process",
-            ComputeBackend::Child(_) => "child",
         }
     }
 
@@ -356,9 +339,7 @@ impl AccelController {
         let cols = run.block_cols(bj, self.cfg.block_cols);
         let ck = run.chunk_k(kci);
         let tiles = rows.div_ceil(self.cfg.array.rows) * cols.div_ceil(self.cfg.array.cols);
-        let k_total = run.job.k;
-        let t = self.backend.block_time(self.cfg.array, tiles, ck, k_total);
-        let run = self.run.as_mut().expect("run still active");
+        let t = self.array.block_time(tiles, ck, run.job.k);
         run.computing = true;
         run.compute_busy_ns += units::to_ns(t);
         ctx.timer(t, TAG_COMPUTE);
@@ -407,7 +388,7 @@ impl AccelController {
         }
         let run = self.run.take().expect("checked above");
         if let Some(functional) = &run.job.functional {
-            self.backend.execute(functional);
+            functional.execute();
         }
         self.records.push(JobRecord {
             cookie: run.job.cookie,

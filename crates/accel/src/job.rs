@@ -5,10 +5,10 @@ use std::sync::{Arc, Mutex};
 
 /// Functional operands of a GEMM job.
 ///
-/// The paper attaches the RTL accelerator as a Verilator child process so
-/// results are real; our substitution is a functional i32 backend behind
-/// the same controller, letting tests verify numerical correctness while
-/// the timing path stays packet-level.
+/// The paper runs the RTL accelerator through Verilator so results are
+/// real; our substitution is a functional i32 GEMM that the controller
+/// executes in-process when the job completes, letting tests verify
+/// numerical correctness while the timing path stays packet-level.
 #[derive(Debug)]
 pub struct GemmOperands {
     m: usize,
@@ -36,32 +36,6 @@ impl GemmOperands {
             b,
             c: Mutex::new(None),
         }
-    }
-
-    /// Dimensions `(m, n, k)`.
-    pub fn dims(&self) -> (usize, usize, usize) {
-        (self.m, self.n, self.k)
-    }
-
-    /// The `m×k` A operand, row-major.
-    pub fn a(&self) -> &[i32] {
-        &self.a
-    }
-
-    /// The `k×n` B operand, row-major.
-    pub fn b(&self) -> &[i32] {
-        &self.b
-    }
-
-    /// Store an externally computed result (used by the child-process
-    /// backend, which runs the GEMM in the worker).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not `m×n`.
-    pub fn set_result(&self, c: Vec<i32>) {
-        assert_eq!(c.len(), self.m * self.n, "C must be m×n");
-        *self.c.lock().expect("operand lock poisoned") = Some(c);
     }
 
     /// Compute and store `C = A×B` (called by the controller when the

@@ -18,11 +18,7 @@
 mod array;
 mod controller;
 mod job;
-pub mod transport;
-mod worker;
 
 pub use array::{SystolicArray, SystolicConfig};
 pub use controller::{AccelController, AccelControllerConfig, JobRecord};
 pub use job::{AccelJob, GemmOperands};
-pub use transport::{PipeChild, TransportError};
-pub use worker::{serve_worker, ChildWorker, ComputeBackend, WorkerError};

@@ -77,35 +77,6 @@ fn ablation(name: &'static str, result: &SweepResult<u64, f64>) -> Ablation {
     }
 }
 
-/// Sweep the endpoint's non-posted tag pool.
-pub fn tags(matrix: u32) -> Ablation {
-    ablation("ep.tags", &tags_experiment(matrix).run(Jobs::from_env()))
-}
-
-/// Sweep the µTLB capacity.
-pub fn tlb_entries(matrix: u32) -> Ablation {
-    ablation(
-        "smmu.tlb_entries",
-        &tlb_experiment(matrix).run(Jobs::from_env()),
-    )
-}
-
-/// Walk cache on vs off.
-pub fn walk_cache(matrix: u32) -> Ablation {
-    ablation(
-        "smmu.walk_cache_entries",
-        &walk_cache_experiment(matrix).run(Jobs::from_env()),
-    )
-}
-
-/// Coherence point on vs off (0 = off, 1 = on).
-pub fn coherence(matrix: u32) -> Ablation {
-    ablation(
-        "llc.coherent",
-        &coherence_experiment(matrix).run(Jobs::from_env()),
-    )
-}
-
 /// Run all four ablations on `jobs` workers, noting wall-clock on
 /// stderr; returns `(human rows, machine-readable values)`.
 pub fn run_jobs(matrix: u32, jobs: Jobs) -> (Vec<Ablation>, serde::Value) {
@@ -161,7 +132,7 @@ mod tests {
 
     #[test]
     fn tiny_tag_pools_throttle_reads() {
-        let a = tags(128);
+        let a = ablation("ep.tags", &tags_experiment(128).run(Jobs::serial()));
         let t1 = a.points[0].1; // 1 tag
         let t128 = a.points[7].1; // 128 tags
         assert!(
@@ -175,7 +146,7 @@ mod tests {
 
     #[test]
     fn bigger_tlbs_do_not_hurt() {
-        let a = tlb_entries(128);
+        let a = ablation("smmu.tlb_entries", &tlb_experiment(128).run(Jobs::serial()));
         let first = a.points.first().unwrap().1;
         let last = a.points.last().unwrap().1;
         assert!(
@@ -186,7 +157,10 @@ mod tests {
 
     #[test]
     fn walk_cache_helps_when_tlb_thrashes() {
-        let a = walk_cache(128);
+        let a = ablation(
+            "smmu.walk_cache_entries",
+            &walk_cache_experiment(128).run(Jobs::serial()),
+        );
         let off = a.points[0].1;
         let on = a.points[1].1;
         assert!(on <= off, "walk cache should not hurt: {off} -> {on}");
@@ -194,7 +168,10 @@ mod tests {
 
     #[test]
     fn coherence_costs_little_without_sharing() {
-        let a = coherence(128);
+        let a = ablation(
+            "llc.coherent",
+            &coherence_experiment(128).run(Jobs::serial()),
+        );
         let off = a.points[0].1;
         let on = a.points[1].1;
         // GEMM data is not CPU-shared, so the probe overhead is tiny.

@@ -63,7 +63,7 @@ fn main() {
         Some("exp") => cmd_exp(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
-        Some("list") => cmd_list(),
+        Some("list") => cmd_list(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             println!("{USAGE}");
             0
@@ -228,11 +228,23 @@ fn cmd_run(args: &[String]) -> i32 {
     0
 }
 
-fn cmd_validate(args: &[String]) -> i32 {
-    let (names, _cli) = match split_args("validate", args) {
-        Ok(split) => split,
-        Err(code) => return code,
-    };
+/// The exit code for an argument that `validate` or `list` does not
+/// take: `--help` prints the usage (0), anything else is a usage error
+/// (2).
+fn reject_arg(cmd: &str, arg: &str) -> i32 {
+    if arg == "--help" || arg == "-h" {
+        println!("{USAGE}");
+        0
+    } else {
+        eprintln!("accesys {cmd}: unknown argument `{arg}`\n\n{USAGE}");
+        2
+    }
+}
+
+fn cmd_validate(names: &[String]) -> i32 {
+    if let Some(flag) = names.iter().find(|a| a.starts_with('-')) {
+        return reject_arg("validate", flag);
+    }
     if names.is_empty() {
         eprintln!("accesys validate: at least one spec file is required\n\n{USAGE}");
         return 2;
@@ -264,7 +276,10 @@ fn validate_one(name: &str) -> Result<String, SpecError> {
     Ok(format!("kind {}, scenario `{}`", sc.kind(), sc.name()))
 }
 
-fn cmd_list() -> i32 {
+fn cmd_list(args: &[String]) -> i32 {
+    if let Some(arg) = args.first() {
+        return reject_arg("list", arg);
+    }
     println!("{:<20} {:<10} {:<16} sweep", "spec", "kind", "scenario");
     for (stem, text) in LIBRARY {
         match accesys_spec::load_str(text) {

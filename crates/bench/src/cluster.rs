@@ -68,11 +68,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<ClusterRow> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the scaling sweep at `scale` (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<ClusterRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -115,7 +110,7 @@ mod tests {
 
     #[test]
     fn compute_bound_scaling_is_near_linear_to_four() {
-        let rows = run(Scale::Quick);
+        let rows = run_jobs(Scale::Quick, Jobs::serial());
         let r1 = rows.iter().find(|r| r.accels == 1).unwrap();
         let r4 = rows.iter().find(|r| r.accels == 4).unwrap();
         let speedup = r1.compute_bound_ns / r4.compute_bound_ns;
@@ -124,7 +119,7 @@ mod tests {
 
     #[test]
     fn transfer_bound_scaling_saturates() {
-        let rows = run(Scale::Quick);
+        let rows = run_jobs(Scale::Quick, Jobs::serial());
         let r1 = rows.iter().find(|r| r.accels == 1).unwrap();
         let r8 = rows.iter().find(|r| r.accels == 8).unwrap();
         let speedup = r1.transfer_bound_ns / r8.transfer_bound_ns;

@@ -63,11 +63,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<CxlRow> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the comparison at `scale` (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<CxlRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn cxl_gain_shrinks_as_jobs_grow_bandwidth_bound() {
-        let rows = run(Scale::Quick);
+        let rows = run_jobs(Scale::Quick, Jobs::serial());
         let gain = |r: &CxlRow| r.pcie_equal_ns / r.cxl_ns;
         let first = gain(&rows[0]);
         let last = gain(rows.last().unwrap());

@@ -62,11 +62,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<EnergyRow> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the per-technology energy sweep.
-pub fn run(scale: Scale) -> Vec<EnergyRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// One page-policy × address-mapping ablation cell.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct PolicyRow {
@@ -121,11 +116,6 @@ pub fn policy_experiment(
 /// Run the controller-policy ablation on `jobs` workers.
 pub fn run_policies_jobs(scale: Scale, jobs: Jobs) -> Vec<PolicyRow> {
     policy_experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run the controller-policy ablation (DDR4 host, fixed GEMM).
-pub fn run_policies(scale: Scale) -> Vec<PolicyRow> {
-    run_policies_jobs(scale, Jobs::from_env())
 }
 
 /// Run at the CLI's settings; print both tables unless `--json`; return
@@ -191,7 +181,7 @@ mod tests {
 
     #[test]
     fn hbm_is_most_efficient_ddr3_least() {
-        let rows = run(Scale::Quick);
+        let rows = run_jobs(Scale::Quick, Jobs::serial());
         let pj = |t: MemTech| rows.iter().find(|r| r.tech == t).unwrap().pj_per_byte;
         assert!(pj(MemTech::Hbm2) < pj(MemTech::Ddr4));
         assert!(pj(MemTech::Ddr4) < pj(MemTech::Ddr3));
@@ -202,7 +192,7 @@ mod tests {
 
     #[test]
     fn open_page_wins_row_hits_for_streaming_dma() {
-        let rows = run_policies(Scale::Quick);
+        let rows = run_policies_jobs(Scale::Quick, Jobs::serial());
         let hits = |p: PagePolicy, m: AddressMapping| {
             rows.iter()
                 .find(|r| r.policy == p && r.mapping == m)

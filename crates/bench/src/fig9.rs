@@ -70,11 +70,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<ThresholdRow> {
     fit(&experiment(scale).run(jobs).into_outputs())
 }
 
-/// Measure and fit (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<ThresholdRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the series unless `--json`; return
 /// the machine-readable sweep value (measured points plus fitted rows).
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -134,7 +129,7 @@ mod tests {
 
     #[test]
     fn crossovers_fall_with_pcie_bandwidth() {
-        let rows = run(Scale::Quick);
+        let rows = run_jobs(Scale::Quick, Jobs::serial());
         let t: Vec<f64> = rows
             .iter()
             .map(|r| r.non_gemm_crossover.unwrap_or(f64::NAN))

@@ -138,11 +138,6 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<GraphRow> {
     experiment(scale).run(jobs).into_outputs()
 }
 
-/// Run the sweep (worker count from the environment).
-pub fn run(scale: Scale) -> Vec<GraphRow> {
-    run_jobs(scale, Jobs::from_env())
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {

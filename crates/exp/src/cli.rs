@@ -46,6 +46,9 @@ pub enum CliError {
     MissingValue(String),
     /// `--jobs` got something other than a positive integer.
     BadJobs(String),
+    /// The `ACCESYS_JOBS` environment variable is set to something
+    /// other than a positive integer.
+    BadJobsEnv(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -56,6 +59,9 @@ impl std::fmt::Display for CliError {
             CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
             CliError::BadJobs(value) => {
                 write!(f, "--jobs needs a positive integer, got `{value}`")
+            }
+            CliError::BadJobsEnv(value) => {
+                write!(f, "ACCESYS_JOBS must be a positive integer, got `{value}`")
             }
         }
     }
@@ -80,11 +86,11 @@ impl Cli {
     /// # Errors
     ///
     /// Returns a typed [`CliError`] for `--help`, unknown flags, missing
-    /// values, and malformed `--jobs` counts.
+    /// values, and malformed `--jobs` counts or `ACCESYS_JOBS` values.
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Cli, CliError> {
         let mut cli = Cli {
             scale: Scale::from_env(),
-            jobs: Jobs::from_env(),
+            jobs: Jobs::from_env()?,
             json: false,
             fleet_workers: None,
         };

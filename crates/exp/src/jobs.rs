@@ -1,5 +1,7 @@
 //! Worker-count selection for the sweep runner.
 
+use crate::cli::CliError;
+
 /// How many worker threads a sweep may use.
 ///
 /// Resolution order for [`Jobs::from_env`]: the `ACCESYS_JOBS`
@@ -39,30 +41,26 @@ impl Jobs {
 
     /// `ACCESYS_JOBS` if set, else [`Jobs::auto`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `ACCESYS_JOBS` is set to anything but a positive
-    /// integer — the same strictness as the `--jobs` flag, so the two
-    /// knobs never silently disagree on bad input.
-    pub fn from_env() -> Jobs {
-        match std::env::var("ACCESYS_JOBS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => Jobs(n),
-                _ => panic!("ACCESYS_JOBS must be a positive integer, got `{v}`"),
-            },
-            Err(_) => Jobs::auto(),
+    /// Returns [`CliError::BadJobsEnv`] if `ACCESYS_JOBS` is set to
+    /// anything but a positive integer — the same strictness as the
+    /// `--jobs` flag, so the two knobs never silently disagree on bad
+    /// input.
+    pub fn from_env() -> Result<Jobs, CliError> {
+        let Some(value) = std::env::var_os("ACCESYS_JOBS") else {
+            return Ok(Jobs::auto());
+        };
+        let value = value.to_string_lossy();
+        match value.trim().parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Jobs(n)),
+            _ => Err(CliError::BadJobsEnv(value.into_owned())),
         }
     }
 
     /// The worker count (always ≥ 1).
     pub fn get(self) -> usize {
         self.0
-    }
-}
-
-impl Default for Jobs {
-    fn default() -> Self {
-        Jobs::from_env()
     }
 }
 

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|r| r.total_time_ns() / 1000.0)
                 .expect("config valid and run completes")
         })
-        .run(Jobs::from_env());
+        .run(Jobs::from_env()?);
     eprintln!(
         "# dse: {} points in {:.2}s (jobs={})",
         result.points.len(),
