@@ -27,26 +27,12 @@ use crate::cli::Cli;
 use crate::topo::parse_shape;
 use crate::{specs, Scale};
 use accesys_exp::{Experiment, Grid, Jobs};
-use accesys_serve::{serve_llm, LlmRequestShape, LlmServeConfig, LlmServeReport};
+use accesys_serve::{serve_llm, LlmServeConfig, LlmServeReport};
 use accesys_spec::DecodeScenario;
 
 /// The committed scenario this sweep lowers from.
 pub fn scenario() -> &'static DecodeScenario {
     specs::decode()
-}
-
-/// Offered arrival rates swept, requests per second: below every
-/// shape's saturation, past the one-leaf knee, and past it everywhere.
-pub fn rates(_scale: Scale) -> Vec<f64> {
-    scenario().rates.clone()
-}
-
-/// The per-device KV budget of a named regime, in bytes.
-pub fn kv_budget(budget: &str, shape: &LlmRequestShape) -> u64 {
-    scenario()
-        .kv
-        .budget_bytes(budget, shape)
-        .unwrap_or_else(|| panic!("unknown KV budget regime {budget:?}"))
 }
 
 /// One decode-serving measurement: one arrival rate on one tree shape
@@ -285,7 +271,7 @@ mod tests {
         // The acceptance bar: at the top swept rate on the four-leaf
         // tree with an ample budget, batched decode goodput must be at
         // least twice the one-request-at-a-time engine's.
-        let rate = rates(Scale::Quick)[2];
+        let rate = scenario().rates[2];
         let row = measure(rate, "2x2", "ample", Scale::Quick);
         assert_eq!(row.endpoints, 4);
         assert!(row.peak_batch > 1, "batching never engaged: {row:?}");
@@ -302,7 +288,7 @@ mod tests {
         // The second acceptance shape: a constrained-KV point must show
         // observable eviction traffic in the report — and still finish
         // everything it admitted.
-        let rate = rates(Scale::Quick)[2];
+        let rate = scenario().rates[2];
         let row = measure(rate, "2x2", "tight", Scale::Quick);
         assert!(row.kv_evictions > 0, "tight budget never evicted: {row:?}");
         assert!(row.kv_evicted_bytes > 0);
@@ -313,7 +299,7 @@ mod tests {
 
     #[test]
     fn below_saturation_everything_is_served_either_way() {
-        let rate = rates(Scale::Quick)[0];
+        let rate = scenario().rates[0];
         let row = measure(rate, "2", "ample", Scale::Quick);
         assert_eq!(row.rejected, 0, "no load shedding below saturation");
         assert_eq!(row.admitted, row.offered);

@@ -33,13 +33,6 @@ pub fn scenario() -> &'static ServingScenario {
     specs::serving()
 }
 
-/// Offered arrival rates swept, requests per second (paper scale keeps
-/// the same rates over a longer horizon so the tails are better
-/// resolved).
-pub fn rates(_scale: Scale) -> Vec<f64> {
-    scenario().rates.clone()
-}
-
 /// One serving measurement: one arrival rate on one tree shape.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct ServeRow {
@@ -241,7 +234,7 @@ mod tests {
         // The acceptance shape: at the top swept rate on the four-leaf
         // tree, continuous batching must out-serve one-at-a-time
         // dispatch outright.
-        let rate = rates(Scale::Quick)[2];
+        let rate = scenario().rates[2];
         let row = measure(rate, "2x2", Scale::Quick);
         assert_eq!(row.endpoints, 4);
         assert!(row.peak_batch > 1, "batching never engaged: {row:?}");
@@ -254,7 +247,7 @@ mod tests {
 
     #[test]
     fn below_saturation_everything_is_served_either_way() {
-        let rate = rates(Scale::Quick)[0];
+        let rate = scenario().rates[0];
         let row = measure(rate, "2", Scale::Quick);
         assert_eq!(row.rejected, 0, "no load shedding below saturation");
         assert_eq!(row.admitted, row.offered);

@@ -104,3 +104,24 @@ fn list_shows_the_library() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("paper_baseline.spec"));
 }
+
+#[test]
+fn an_out_of_range_trace_tenant_fails_validation_without_a_panic() {
+    let spec = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/two_tenant_mix.spec"),
+    )
+    .expect("committed spec reads");
+    let traced = spec.replace(
+        "process = \"poisson\"\ntenants = 2\nseed = 0xACCE5",
+        "process = \"trace\"\nat_ns = [0, 1000]\ntenant = [0, 4294967295]",
+    );
+    assert_ne!(traced, spec, "the traffic section was rewritten");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("tenant_u32_max.spec");
+    std::fs::write(&path, traced).expect("temp spec writes");
+    let out = accesys(&["validate", path.to_str().expect("utf-8 path")], None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "validate panicked:\n{stderr}");
+    // `validate` reports each spec's verdict on stdout.
+    assert!(String::from_utf8_lossy(&out.stdout).contains("`traffic.tenant`"));
+}

@@ -13,7 +13,7 @@
 //!
 //! [`LlmServeReport`]: accesys_serve::LlmServeReport
 
-use accesys::topology::{switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_mem::MemTech;
 use accesys_serve::{serve_llm, Arrival, LlmRequestShape, LlmServeConfig, Policy};
@@ -26,11 +26,8 @@ const GOLDEN_PATH: &str = "tests/golden/decode_quick.json";
 fn mixed_prefill_decode_serve_matches_the_pinned_snapshot_byte_for_byte() {
     let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(5_000.0);
     cfg.smmu = None;
-    let spec = switch_tree_with(&cfg, &[2], |_| EndpointOptions {
-        accel: None,
-        dev_mem: Some(MemBackendConfig::Dram(MemTech::Hbm2)),
-    })
-    .expect("valid tree");
+    let spec = switch_tree_with(&cfg, &[2], |_| Some(MemBackendConfig::Dram(MemTech::Hbm2)))
+        .expect("valid tree");
     let mut sim = Simulation::from_topology(cfg, &spec).expect("valid topology");
 
     let shape = LlmRequestShape {

@@ -110,6 +110,11 @@ impl PcieConfig {
 
 /// Full system configuration (Fig. 1 of the paper).
 ///
+/// [`SystemConfig::topology`] lowers it to the paper's single-accelerator
+/// system. An accelerator cluster is a switch tree built from the same
+/// config: `topology::switch_tree(&cfg, &[n])` puts `n` endpoints behind
+/// one switch.
+///
 /// ```
 /// use accesys::SystemConfig;
 ///
@@ -143,9 +148,6 @@ pub struct SystemConfig {
     /// The CXL flit link (used when `interconnect` is
     /// [`InterconnectKind::Cxl`]).
     pub cxl_link: FlitLinkConfig,
-    /// Accelerators behind the switch (1 = the paper's single-device
-    /// topology; more exercises the switch's multi-port scalability).
-    pub accel_count: u32,
     /// Host memory bus.
     pub membus: XbarConfig,
     /// SMMU; `None` disables translation (DMA uses physical addresses).
@@ -183,7 +185,6 @@ impl SystemConfig {
             interconnect: InterconnectKind::Pcie,
             pcie: PcieConfig::gen2_x4(),
             cxl_link: FlitLinkConfig::cxl2(8),
-            accel_count: 1,
             membus: XbarConfig::default(),
             smmu: Some(SmmuConfig {
                 va_base: crate::addrmap::ACCEL_VA_BASE,
@@ -230,12 +231,6 @@ impl SystemConfig {
         cfg
     }
 
-    /// A multi-accelerator cluster behind the PCIe switch.
-    pub fn with_accel_count(mut self, count: u32) -> Self {
-        self.accel_count = count;
-        self
-    }
-
     /// Set the DMA request (packet) size — the Fig. 4 knob.
     pub fn with_request_bytes(mut self, bytes: u32) -> Self {
         self.dma.request_bytes = bytes;
@@ -266,10 +261,6 @@ impl SystemConfig {
         }
         if self.mem_location == MemoryLocation::Device && self.dev_mem.is_none() {
             return err("mem_location is Device but dev_mem is None");
-        }
-        crate::addrmap::check_accel_count(self.accel_count as usize)?;
-        if self.interconnect == InterconnectKind::Cxl && self.accel_count != 1 {
-            return err("the CXL topology is point-to-point: accel_count must be 1");
         }
         if self.accel.block_rows < self.accel.array.rows
             || self.accel.block_cols < self.accel.array.cols

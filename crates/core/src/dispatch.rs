@@ -652,7 +652,7 @@ impl GraphSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{switch_tree, switch_tree_with, EndpointOptions};
+    use crate::topology::{switch_tree, switch_tree_with};
     use crate::{MemBackendConfig, SystemConfig};
     use accesys_mem::MemTech;
     use accesys_workload::graph::{
@@ -669,9 +669,8 @@ mod tests {
         let mut cfg =
             SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(50_000.0);
         cfg.smmu = None;
-        let spec = switch_tree_with(&cfg, levels, |_| EndpointOptions {
-            accel: None,
-            dev_mem: Some(MemBackendConfig::Dram(MemTech::Hbm2)),
+        let spec = switch_tree_with(&cfg, levels, |_| {
+            Some(MemBackendConfig::Dram(MemTech::Hbm2))
         })
         .expect("valid tree");
         Simulation::from_topology(cfg, &spec).expect("valid topology")

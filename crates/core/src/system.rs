@@ -276,34 +276,6 @@ impl Simulation {
         Ok(Simulation::new(cfg)?.run_gemm(spec)?)
     }
 
-    /// Build a system from `cfg` and run one GEMM sharded across every
-    /// accelerator ([`Simulation::run_gemm_sharded`]), one-shot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error`] if the configuration is invalid or the
-    /// run fails.
-    pub fn measure_gemm_sharded(
-        cfg: SystemConfig,
-        spec: GemmSpec,
-    ) -> Result<RunReport, crate::Error> {
-        Ok(Simulation::new(cfg)?.run_gemm_sharded(spec)?)
-    }
-
-    /// Build a system from `cfg` and run one ViT layer
-    /// ([`Simulation::run_vit_layer`]), one-shot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::Error`] if the configuration is invalid or the
-    /// run fails.
-    pub fn measure_vit_layer(
-        cfg: SystemConfig,
-        model: VitModel,
-    ) -> Result<VitReport, crate::Error> {
-        Ok(Simulation::new(cfg)?.run_vit_layer(model)?)
-    }
-
     /// Run one GEMM through the full system (driver doorbell → DMA →
     /// compute → MSI) and report.
     ///
@@ -410,19 +382,6 @@ impl Simulation {
         self.run_graph(&graph::op_chain(&vit_ops(model)))
     }
 
-    /// Run the full ViT inference graph (embedding, every encoder layer,
-    /// classification head). Simulation cost scales with
-    /// `model.layers()`; for sweeps prefer [`Simulation::run_vit_layer`]
-    /// plus the Section V-D composition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError`] if the simulation livelocks or an interrupt
-    /// is lost.
-    pub fn run_vit_full(&mut self, model: VitModel) -> Result<VitReport, RunError> {
-        self.run_graph(&graph::op_chain(&accesys_workload::vit_full_ops(model)))
-    }
-
     /// Run one BERT encoder layer at `seq_len` tokens — the NLP workload
     /// the paper's introduction motivates. Same GEMM/Non-GEMM split
     /// machinery as [`Simulation::run_vit_layer`].
@@ -524,7 +483,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{switch_tree, switch_tree_with, DataPlacement, EndpointOptions};
+    use crate::topology::{switch_tree, switch_tree_with, DataPlacement};
     use crate::{AccessMode, MemBackendConfig, SystemConfig};
     use accesys_mem::MemTech;
 
@@ -621,16 +580,17 @@ mod tests {
 
     #[test]
     fn cxl_rejects_multi_accel() {
-        let cfg = SystemConfig::cxl_host(8, MemTech::Ddr4).with_accel_count(2);
-        assert!(Simulation::new(cfg).is_err());
+        let cfg = SystemConfig::cxl_host(8, MemTech::Ddr4);
+        assert!(switch_tree(&cfg, &[2]).is_err());
     }
 
     // ---- multi-accelerator cluster ----
 
     #[test]
     fn sharded_gemm_uses_every_cluster_member() {
-        let cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_accel_count(4);
-        let mut sim = Simulation::new(cfg).unwrap();
+        let cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4);
+        let spec = switch_tree(&cfg, &[4]).unwrap();
+        let mut sim = Simulation::from_topology(cfg, &spec).unwrap();
         let report = sim.run_gemm_sharded(GemmSpec::square(256)).unwrap();
         assert_eq!(report.jobs.len(), 4);
         for i in 0..4 {
@@ -648,11 +608,11 @@ mod tests {
     fn sharding_scales_compute_bound_jobs() {
         // Strongly compute-bound: 4 accelerators ≈ 4× faster.
         let slow_array = |count: u32| {
-            let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4)
-                .with_accel_count(count)
-                .with_compute_override_ns(50_000.0);
+            let mut cfg =
+                SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(50_000.0);
             cfg.smmu = None; // isolate compute scaling
-            let mut sim = Simulation::new(cfg).unwrap();
+            let spec = switch_tree(&cfg, &[count]).unwrap();
+            let mut sim = Simulation::from_topology(cfg, &spec).unwrap();
             sim.run_gemm_sharded(GemmSpec::square(256))
                 .unwrap()
                 .total_time_ns()
@@ -740,9 +700,8 @@ mod tests {
     fn heterogeneous_tree_splits_traffic_by_placement() {
         let mut cfg = SystemConfig::pcie_host(8.0, MemTech::Ddr4);
         cfg.smmu = None;
-        let spec = switch_tree_with(&cfg, &[2], |i| EndpointOptions {
-            accel: None,
-            dev_mem: (i == 1).then_some(MemBackendConfig::Dram(MemTech::Hbm2)),
+        let spec = switch_tree_with(&cfg, &[2], |i| {
+            (i == 1).then_some(MemBackendConfig::Dram(MemTech::Hbm2))
         })
         .unwrap();
         assert!(matches!(

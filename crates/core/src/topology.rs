@@ -27,9 +27,10 @@
 //!   SMMU walker).
 //!
 //! [`SystemConfig::topology`] lowers the classic configuration to this
-//! IR — the paper's Fig. 1 shape is just one preset — and
-//! [`switch_tree`] builds multi-level PCIe switch trees with
-//! per-endpoint heterogeneous accelerators and memory placements.
+//! IR — the paper's single-accelerator Fig. 1 shape is just one preset —
+//! and [`switch_tree`] builds every multi-accelerator system: flat
+//! clusters and multi-level PCIe switch trees, with per-endpoint memory
+//! placement through [`switch_tree_with`].
 
 use crate::addrmap;
 use crate::{
@@ -915,8 +916,10 @@ const DEVMEM_XBAR: XbarConfig = XbarConfig {
 
 impl SystemConfig {
     /// Lower this configuration to the topology IR: the paper's Fig. 1
-    /// shape (single root complex, one switch level, one DMA + accel per
-    /// endpoint) as one preset of the general engine.
+    /// shape (single root complex, one switch, one endpoint with its DMA
+    /// engine and accelerator controller; or a point-to-point CXL link)
+    /// as one preset of the general engine. A multi-accelerator system
+    /// is a [`switch_tree`].
     ///
     /// Node order, names and wiring reproduce the original hand-wired
     /// builder exactly, so a lowered [`SystemConfig::paper_baseline`]
@@ -931,7 +934,6 @@ impl SystemConfig {
         let cfg = self;
         let dc = cfg.access_mode == AccessMode::DirectCache;
         let has_dev = cfg.dev_mem.is_some();
-        let n = cfg.accel_count as usize;
         let cxl = cfg.interconnect == InterconnectKind::Cxl;
         let mut t = TopologySpec::new();
 
@@ -947,15 +949,11 @@ impl SystemConfig {
         let switch = (!cxl).then(|| t.reserve());
         let link_rc_down = t.reserve();
         let link_sw_up = (!cxl).then(|| t.reserve());
-        let link_sw_down: Vec<NodeId> = if cxl {
-            Vec::new()
-        } else {
-            (0..n).map(|_| t.reserve()).collect()
-        };
-        let link_ep_up: Vec<NodeId> = (0..n).map(|_| t.reserve()).collect();
-        let eps: Vec<NodeId> = (0..n).map(|_| t.reserve()).collect();
-        let dmas: Vec<NodeId> = (0..n).map(|_| t.reserve()).collect();
-        let ctrls: Vec<NodeId> = (0..n).map(|_| t.reserve()).collect();
+        let link_sw_down = (!cxl).then(|| t.reserve());
+        let link_ep_up = t.reserve();
+        let ep = t.reserve();
+        let dma = t.reserve();
+        let ctrl = t.reserve();
         let devmem_xbar = has_dev.then(|| t.reserve());
         let dev_mem = has_dev.then(|| t.reserve());
 
@@ -983,60 +981,40 @@ impl SystemConfig {
         // Cache hierarchy + SMMU (shared with the tree preset).
         let rc_host_target = define_host_caches(&mut t, cfg, membus, llc, l1d, iocache, smmu);
 
-        // Links.
-        if cxl {
+        // Links, and the switch between them (PCIe only).
+        if let (Some(sw), Some(sw_up), Some(sw_down)) = (switch, link_sw_up, link_sw_down) {
+            let link = |dst| NodeSpec::PcieLink {
+                cfg: cfg.pcie.link,
+                dst,
+            };
+            t.define(link_rc_down, "link.rc_down", link(sw));
+            t.define(sw_up, "link.sw_up", link(rc));
+            t.define(sw_down, "link.sw_down0", link(ep));
+            t.define(link_ep_up, "link.ep_up0", link(sw));
+            let mut ranges = vec![addrmap::device_bar(0)];
+            if has_dev {
+                ranges.push(addrmap::DEVMEM);
+            }
             t.define(
-                link_rc_down,
-                "cxl.down",
-                NodeSpec::FlitLink {
-                    cfg: cfg.cxl_link,
-                    dst: eps[0],
-                },
-            );
-            t.define(
-                link_ep_up[0],
-                "cxl.up",
-                NodeSpec::FlitLink {
-                    cfg: cfg.cxl_link,
-                    dst: rc,
+                sw,
+                "pcie.switch",
+                NodeSpec::Switch {
+                    cfg: cfg.pcie.switch,
+                    up_link: sw_up,
+                    ports: vec![SwitchPortSpec {
+                        egress_link: sw_down,
+                        downstream: ep,
+                        ranges,
+                    }],
                 },
             );
         } else {
-            let sw = switch.expect("PCIe topology has a switch");
-            t.define(
-                link_rc_down,
-                "link.rc_down",
-                NodeSpec::PcieLink {
-                    cfg: cfg.pcie.link,
-                    dst: sw,
-                },
-            );
-            t.define(
-                link_sw_up.expect("PCIe topology"),
-                "link.sw_up",
-                NodeSpec::PcieLink {
-                    cfg: cfg.pcie.link,
-                    dst: rc,
-                },
-            );
-            for i in 0..n {
-                t.define(
-                    link_sw_down[i],
-                    format!("link.sw_down{i}"),
-                    NodeSpec::PcieLink {
-                        cfg: cfg.pcie.link,
-                        dst: eps[i],
-                    },
-                );
-                t.define(
-                    link_ep_up[i],
-                    format!("link.ep_up{i}"),
-                    NodeSpec::PcieLink {
-                        cfg: cfg.pcie.link,
-                        dst: sw,
-                    },
-                );
-            }
+            let link = |dst| NodeSpec::FlitLink {
+                cfg: cfg.cxl_link,
+                dst,
+            };
+            t.define(link_rc_down, "cxl.down", link(ep));
+            t.define(link_ep_up, "cxl.up", link(rc));
         }
 
         // Root complex (PCIe) / host bridge (CXL).
@@ -1052,9 +1030,6 @@ impl SystemConfig {
         if has_dev {
             device_ranges.push(addrmap::DEVMEM);
         }
-        let mut pcie_modules: Vec<NodeId> = Vec::new();
-        pcie_modules.extend(switch);
-        pcie_modules.extend(eps.iter().copied());
         t.define(
             rc,
             if cxl { "cxl.bridge" } else { "pcie.rc" },
@@ -1064,70 +1039,35 @@ impl SystemConfig {
                 down_link: link_rc_down,
                 device_ranges,
                 sideband: Some((addrmap::MSI, membus)),
-                pcie_modules,
+                pcie_modules: switch.into_iter().chain([ep]).collect(),
             },
         );
 
-        // Switch with one port per cluster member (PCIe only).
-        if let Some(sw) = switch {
-            let ports = (0..n)
-                .map(|i| {
-                    let mut ranges = vec![addrmap::device_bar(i)];
-                    if has_dev && i == 0 {
-                        ranges.push(addrmap::DEVMEM);
-                    }
-                    SwitchPortSpec {
-                        egress_link: link_sw_down[i],
-                        downstream: eps[i],
-                        ranges,
-                    }
-                })
-                .collect();
-            t.define(
-                sw,
-                "pcie.switch",
-                NodeSpec::Switch {
-                    cfg: cfg.pcie.switch,
-                    up_link: link_sw_up.expect("PCIe"),
-                    ports,
-                },
-            );
-        }
-
-        // Endpoints: MMIO to the controller, NUMA window to DevMem.
-        for i in 0..n {
-            let ep_cfg = if cxl {
-                PcieEndpointConfig {
-                    tags: cfg.pcie.ep.tags,
-                    proc_ns: cfg.pcie.ep.proc_ns,
-                    ..PcieEndpointConfig::cxl()
-                }
-            } else {
-                cfg.pcie.ep
+        // Endpoint: MMIO to the controller, NUMA window to DevMem.
+        let (ep_cfg, ep_name) = if cxl {
+            let ep_cfg = PcieEndpointConfig {
+                tags: cfg.pcie.ep.tags,
+                proc_ns: cfg.pcie.ep.proc_ns,
+                ..PcieEndpointConfig::cxl()
             };
-            let ep_name = if cxl {
-                "cxl.ep".to_string()
-            } else {
-                format!("pcie.ep{i}")
-            };
-            let mut inward = Vec::new();
-            if i == 0 {
-                if let Some(xbar) = devmem_xbar {
-                    inward.push((addrmap::DEVMEM, xbar));
-                }
-            }
-            t.define(
-                eps[i],
-                ep_name,
-                NodeSpec::Endpoint {
-                    cfg: ep_cfg,
-                    up_link: link_ep_up[i],
-                    mmio_target: ctrls[i],
-                    bar: addrmap::device_bar(i),
-                    inward,
-                },
-            );
-        }
+            (ep_cfg, "cxl.ep")
+        } else {
+            (cfg.pcie.ep, "pcie.ep0")
+        };
+        t.define(
+            ep,
+            ep_name,
+            NodeSpec::Endpoint {
+                cfg: ep_cfg,
+                up_link: link_ep_up,
+                mmio_target: ctrl,
+                bar: addrmap::device_bar(0),
+                inward: devmem_xbar
+                    .map(|x| (addrmap::DEVMEM, x))
+                    .into_iter()
+                    .collect(),
+            },
+        );
 
         // DevMem controller frontend.
         if let (Some(xbar), Some(mem)) = (devmem_xbar, dev_mem) {
@@ -1142,19 +1082,17 @@ impl SystemConfig {
             );
         }
 
-        // DMA engines + accelerator controllers.
-        for i in 0..n {
-            t.define(dmas[i], format!("dma{i}"), NodeSpec::Dma { cfg: cfg.dma });
-            t.define(
-                ctrls[i],
-                format!("accel{i}"),
-                NodeSpec::Accel {
-                    cfg: cfg.accel,
-                    dma: dmas[i],
-                    ep: eps[i],
-                },
-            );
-        }
+        // DMA engine + accelerator controller.
+        t.define(dma, "dma0", NodeSpec::Dma { cfg: cfg.dma });
+        t.define(
+            ctrl,
+            "accel0",
+            NodeSpec::Accel {
+                cfg: cfg.accel,
+                dma,
+                ep,
+            },
+        );
 
         // CPU cluster.
         let mut uncached = vec![addrmap::DEVICE_BAR];
@@ -1178,47 +1116,33 @@ impl SystemConfig {
             t.set_smmu(id);
         }
         if has_dev {
-            // The monolithic DEVMEM window is claimed whole by endpoint
-            // 0's port, so the classic activation base is routable.
+            // The monolithic DEVMEM window is claimed whole by the
+            // endpoint's port, so the classic activation base is routable.
             t.set_devmem_act_base(addrmap::DEVMEM_ACT_BASE);
         }
-        for i in 0..n {
-            let dev_off = i as u64 * HOST_DATA_STRIDE;
-            let data = match cfg.mem_location {
-                MemoryLocation::Host => DataPlacement::Host {
-                    base: if cfg.smmu.is_some() {
-                        addrmap::ACCEL_VA_BASE + dev_off
-                    } else {
-                        addrmap::DATA_PA_BASE + dev_off
-                    },
-                    virt: cfg.smmu.is_some(),
+        let data = match cfg.mem_location {
+            MemoryLocation::Host => DataPlacement::Host {
+                base: if cfg.smmu.is_some() {
+                    addrmap::ACCEL_VA_BASE
+                } else {
+                    addrmap::DATA_PA_BASE
                 },
-                MemoryLocation::Device => DataPlacement::Device {
-                    xbar: devmem_xbar.expect("validated: devmem present"),
-                    base: addrmap::DEVMEM.base + dev_off,
-                },
-            };
-            t.add_device(DeviceSpec {
-                ctrl: ctrls[i],
-                dma: dmas[i],
-                ep: eps[i],
-                doorbell: addrmap::doorbell(i),
-                data,
-            });
-        }
+                virt: cfg.smmu.is_some(),
+            },
+            MemoryLocation::Device => DataPlacement::Device {
+                xbar: devmem_xbar.expect("validated: devmem present"),
+                base: addrmap::DEVMEM.base,
+            },
+        };
+        t.add_device(DeviceSpec {
+            ctrl,
+            dma,
+            ep,
+            doorbell: addrmap::doorbell(0),
+            data,
+        });
         Ok(t)
     }
-}
-
-/// Per-endpoint overrides for [`switch_tree_with`]: heterogeneous
-/// accelerator configurations and memory placements.
-#[derive(Clone, Debug, Default)]
-pub struct EndpointOptions {
-    /// Override the accelerator controller configuration.
-    pub accel: Option<AccelControllerConfig>,
-    /// Give this endpoint local device memory (its jobs are placed in
-    /// its [`addrmap::devmem_slice`]).
-    pub dev_mem: Option<MemBackendConfig>,
 }
 
 /// A multi-level PCIe switch tree: `levels[l]` is the fan-out of every
@@ -1256,12 +1180,14 @@ pub struct EndpointOptions {
 /// [`BuildError::RouteDepthExceeded`] when the tree is too deep for the
 /// route stack.
 pub fn switch_tree(cfg: &SystemConfig, levels: &[u32]) -> Result<TopologySpec, BuildError> {
-    switch_tree_with(cfg, levels, |_| EndpointOptions::default())
+    switch_tree_with(cfg, levels, |_| None)
 }
 
-/// [`switch_tree`] with per-endpoint overrides: `opts(i)` configures
-/// leaf `i` (left to right), enabling heterogeneous accelerator mixes
-/// and per-endpoint memory placement in one tree.
+/// [`switch_tree`] with per-endpoint memory placement: `dev_mem(i)`
+/// gives leaf `i` (left to right) local device memory, placing its jobs
+/// in its [`addrmap::devmem_slice`]. A leaf for which it returns `None`
+/// falls back to [`switch_tree`]'s rule. Every leaf's accelerator uses
+/// `cfg.accel`.
 ///
 /// # Errors
 ///
@@ -1269,7 +1195,7 @@ pub fn switch_tree(cfg: &SystemConfig, levels: &[u32]) -> Result<TopologySpec, B
 pub fn switch_tree_with(
     cfg: &SystemConfig,
     levels: &[u32],
-    opts: impl Fn(usize) -> EndpointOptions,
+    dev_mem: impl Fn(usize) -> Option<MemBackendConfig>,
 ) -> Result<TopologySpec, BuildError> {
     cfg.validate()?;
     if cfg.interconnect == InterconnectKind::Cxl {
@@ -1299,7 +1225,7 @@ pub fn switch_tree_with(
     let mut builder = TreeBuilder {
         t: &mut t,
         cfg,
-        opts: &opts,
+        dev_mem: &dev_mem,
         next_ep: 0,
         pcie_modules: Vec::new(),
         any_devmem: false,
@@ -1471,10 +1397,10 @@ fn define_host_caches(
     smmu.unwrap_or(io_entry)
 }
 
-struct TreeBuilder<'a, F: Fn(usize) -> EndpointOptions> {
+struct TreeBuilder<'a, F: Fn(usize) -> Option<MemBackendConfig>> {
     t: &'a mut TopologySpec,
     cfg: &'a SystemConfig,
-    opts: &'a F,
+    dev_mem: &'a F,
     next_ep: usize,
     pcie_modules: Vec<NodeId>,
     any_devmem: bool,
@@ -1487,7 +1413,7 @@ struct TreeBuilder<'a, F: Fn(usize) -> EndpointOptions> {
 /// streamed write window at `+0x0800_0000` within the 256 MiB slice.
 const TREE_ACT_OFFSET: u64 = 0x0400_0000;
 
-impl<F: Fn(usize) -> EndpointOptions> TreeBuilder<'_, F> {
+impl<F: Fn(usize) -> Option<MemBackendConfig>> TreeBuilder<'_, F> {
     /// Build the switch at `path` and its whole subtree; returns the
     /// switch node. The caller wires the parent egress link to it.
     /// `up_target` is the module above (parent switch or root complex).
@@ -1557,9 +1483,7 @@ impl<F: Fn(usize) -> EndpointOptions> TreeBuilder<'_, F> {
     fn endpoint(&mut self, sw: NodeId) -> Result<(NodeId, Vec<AddrRange>), BuildError> {
         let i = self.next_ep;
         self.next_ep += 1;
-        let opts = (self.opts)(i);
-        let accel_cfg = opts.accel.unwrap_or(self.cfg.accel);
-        let dev_mem = opts.dev_mem.or_else(|| {
+        let dev_mem = (self.dev_mem)(i).or_else(|| {
             (self.cfg.mem_location == MemoryLocation::Device)
                 .then_some(self.cfg.dev_mem)
                 .flatten()
@@ -1581,7 +1505,7 @@ impl<F: Fn(usize) -> EndpointOptions> TreeBuilder<'_, F> {
         let ctrl = self.t.add(
             format!("accel{i}"),
             NodeSpec::Accel {
-                cfg: accel_cfg,
+                cfg: self.cfg.accel,
                 dma,
                 ep,
             },
@@ -1789,11 +1713,8 @@ mod tests {
     fn heterogeneous_trees_mix_memory_placements() {
         let mut cfg = SystemConfig::paper_baseline();
         cfg.smmu = None;
-        let spec = switch_tree_with(&cfg, &[2], |i| EndpointOptions {
-            accel: None,
-            dev_mem: (i == 1).then_some(MemBackendConfig::Dram(MemTech::Hbm2)),
-        })
-        .unwrap();
+        let hbm = MemBackendConfig::Dram(MemTech::Hbm2);
+        let spec = switch_tree_with(&cfg, &[2], |i| (i == 1).then_some(hbm)).unwrap();
         spec.validate().unwrap();
         assert!(matches!(
             spec.devices()[0].data,
@@ -1807,6 +1728,36 @@ mod tests {
         let handles = spec.instantiate(&mut kernel).unwrap();
         assert!(handles.lookup("dev_mem1").is_some());
         assert!(handles.lookup("dev_mem0").is_none());
+
+        // A device's memory sits behind its own endpoint: its data
+        // window is one of that endpoint's inward routes, so the DMA
+        // engine never reaches a sibling's memory.
+        let assert_local = |spec: &TopologySpec| {
+            for (i, d) in spec.devices().iter().enumerate() {
+                let DataPlacement::Device { xbar, base } = d.data else {
+                    continue;
+                };
+                let NodeSpec::Endpoint { inward, .. } = &spec.node(d.ep).unwrap().spec else {
+                    panic!("device {i}'s ep is an endpoint");
+                };
+                assert!(
+                    inward.iter().any(|&(r, t)| t == xbar && r.contains(base)),
+                    "device {i}'s memory is not behind its own endpoint"
+                );
+            }
+        };
+        let devmem = SystemConfig::devmem(MemTech::Hbm2);
+        assert_local(&devmem.topology().unwrap());
+        for shape in [&[1][..], &[4], &[2, 2]] {
+            let mixed = switch_tree_with(&cfg, shape, |i| (i % 2 == 1).then_some(hbm)).unwrap();
+            assert_local(&mixed);
+            let uniform = switch_tree(&devmem, shape).unwrap();
+            assert!(uniform
+                .devices()
+                .iter()
+                .all(|d| matches!(d.data, DataPlacement::Device { .. })));
+            assert_local(&uniform);
+        }
     }
 
     #[test]

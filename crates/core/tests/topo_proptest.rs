@@ -5,7 +5,7 @@
 //! `jobs=1` and `jobs=N` sweeps stay byte-identical on every topology,
 //! not just the Fig. 1 preset.
 
-use accesys::topology::{switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{AccessMode, MemBackendConfig, Simulation, SystemConfig};
 use accesys_exp::{Experiment, Grid, Jobs};
 use accesys_mem::MemTech;
@@ -36,10 +36,9 @@ proptest! {
         let levels = vec![fanout; depth];
         let endpoints = fanout.pow(depth as u32) as usize;
         let cfg = random_config(smmu, direct_memory);
-        let spec = switch_tree_with(&cfg, &levels, |i| EndpointOptions {
-            accel: None,
-            dev_mem: (devmem_on_odd && i % 2 == 1)
-                .then_some(MemBackendConfig::Dram(MemTech::Hbm2)),
+        let spec = switch_tree_with(&cfg, &levels, |i| {
+            (devmem_on_odd && i % 2 == 1)
+                .then_some(MemBackendConfig::Dram(MemTech::Hbm2))
         })
         .expect("generated trees are valid");
         spec.validate().expect("presets validate");
@@ -72,10 +71,9 @@ proptest! {
             let cfg = random_config(smmu, direct_memory);
             let shape = shape.clone();
             Grid::new("topo-prop", [48u32, 64]).sweep(move |&m| {
-                let spec = switch_tree_with(&cfg, &shape, |i| EndpointOptions {
-                    accel: None,
-                    dev_mem: (devmem_on_odd && i % 2 == 1)
-                        .then_some(MemBackendConfig::Dram(MemTech::Hbm2)),
+                let spec = switch_tree_with(&cfg, &shape, |i| {
+                    (devmem_on_odd && i % 2 == 1)
+                        .then_some(MemBackendConfig::Dram(MemTech::Hbm2))
                 })
                 .expect("valid");
                 let mut sim = Simulation::from_topology(cfg.clone(), &spec).expect("valid");

@@ -2,10 +2,10 @@
 //! needs to rebuild its simulation, as plain data.
 
 use crate::FleetError;
-use accesys::topology::{switch_tree, switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_mem::MemTech;
-use accesys_serve::{Arrival, ArrivalSpec, Policy, RequestShape, ServeConfig};
+use accesys_serve::{Arrival, ArrivalSpec, Policy, RequestShape, ServeConfig, MAX_TENANTS};
 
 /// A whole fleet: `hosts` identical hosts, each carrying one switch
 /// tree of accelerators, fed by one open-loop frontend over
@@ -220,6 +220,15 @@ impl FleetSpec {
     /// Check every cross-field constraint; [`crate::run_host`]
     /// validates again, so a shard never runs an invalid spec.
     ///
+    /// ```
+    /// use accesys_fleet::FleetSpec;
+    ///
+    /// let mut spec = FleetSpec::demo(2, &[2]);
+    /// spec.validate().unwrap();
+    /// spec.traffic.tenants = accesys_serve::MAX_TENANTS + 1;
+    /// assert!(spec.validate().is_err());
+    /// ```
+    ///
     /// # Errors
     ///
     /// Returns [`FleetError::Spec`] naming the first violated
@@ -260,8 +269,11 @@ impl FleetSpec {
                 self.traffic.rate_rps
             ));
         }
-        if self.traffic.tenants == 0 {
-            return bad("traffic tenants must be >= 1".to_string());
+        if self.traffic.tenants == 0 || self.traffic.tenants > MAX_TENANTS {
+            return bad(format!(
+                "traffic tenants must be in 1..={MAX_TENANTS}, got {}",
+                self.traffic.tenants
+            ));
         }
         if self.traffic.horizon_ns == 0 {
             return bad("traffic horizon_ns must be >= 1".to_string());
@@ -304,13 +316,9 @@ impl FleetSpec {
     /// Returns [`FleetError::Spec`] when the topology does not build.
     pub fn host_simulation(&self) -> Result<Simulation, FleetError> {
         let cfg = self.host.config();
-        let spec = match self.host.devmem {
-            None => switch_tree(&cfg, &self.shape),
-            Some(tech) => switch_tree_with(&cfg, &self.shape, |_| EndpointOptions {
-                accel: None,
-                dev_mem: Some(MemBackendConfig::Dram(tech)),
-            }),
-        }
+        let spec = switch_tree_with(&cfg, &self.shape, |_| {
+            self.host.devmem.map(MemBackendConfig::Dram)
+        })
         .map_err(|e| FleetError::Spec(format!("host tree does not build: {e}")))?;
         Simulation::from_topology(cfg, &spec)
             .map_err(|e| FleetError::Spec(format!("host simulation does not build: {e}")))

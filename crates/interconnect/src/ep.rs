@@ -109,12 +109,6 @@ impl PcieEndpoint {
         self.inward_routes.push((range, target));
     }
 
-    /// Builder-style [`PcieEndpoint::add_inward_route`].
-    pub fn with_inward_route(mut self, range: AddrRange, target: ModuleId) -> Self {
-        self.add_inward_route(range, target);
-        self
-    }
-
     fn inward_target(&self, addr: u64) -> ModuleId {
         for (range, target) in &self.inward_routes {
             if range.contains(addr) {

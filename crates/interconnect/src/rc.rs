@@ -127,29 +127,11 @@ impl RootComplex {
         self.pcie_modules.push(id);
     }
 
-    /// Builder-style [`RootComplex::add_device_range`].
-    pub fn with_device_range(mut self, range: AddrRange) -> Self {
-        self.add_device_range(range);
-        self
-    }
-
-    /// Builder-style [`RootComplex::add_pcie_module`].
-    pub fn with_pcie_module(mut self, id: ModuleId) -> Self {
-        self.add_pcie_module(id);
-        self
-    }
-
     /// Route device-originated requests in `range` (e.g. the MSI window)
     /// directly to `target`, bypassing the SMMU/cache path.
     pub fn add_sideband(&mut self, range: AddrRange, target: ModuleId) {
         self.sideband_ranges.push(range);
         self.sideband_target = target;
-    }
-
-    /// Builder-style [`RootComplex::add_sideband`].
-    pub fn with_sideband(mut self, range: AddrRange, target: ModuleId) -> Self {
-        self.add_sideband(range, target);
-        self
     }
 
     fn is_sideband(&self, addr: u64) -> bool {
@@ -280,9 +262,9 @@ mod tests {
             name: "down",
             got: vec![],
         }));
-        let rc = k.add_module(Box::new(
-            RootComplex::new("rc", RootComplexConfig::default(), host, down).with_device_range(BAR),
-        ));
+        let mut rc = RootComplex::new("rc", RootComplexConfig::default(), host, down);
+        rc.add_device_range(BAR);
+        let rc = k.add_module(Box::new(rc));
         let p = Packet::request(0, MemCmd::ReadReq, 0x8000, 256, 0);
         k.schedule(0, rc, Msg::packet(p));
         k.run_until_idle().unwrap();
@@ -302,9 +284,9 @@ mod tests {
             name: "down",
             got: vec![],
         }));
-        let rc = k.add_module(Box::new(
-            RootComplex::new("rc", RootComplexConfig::default(), host, down).with_device_range(BAR),
-        ));
+        let mut rc = RootComplex::new("rc", RootComplexConfig::default(), host, down);
+        rc.add_device_range(BAR);
+        let rc = k.add_module(Box::new(rc));
         let p = Packet::request(0, MemCmd::WriteReq, BAR.base + 0x10, 8, 0);
         k.schedule(0, rc, Msg::packet(p));
         k.run_until_idle().unwrap();
@@ -327,11 +309,10 @@ mod tests {
             name: "sw",
             got: vec![],
         }));
-        let rc = k.add_module(Box::new(
-            RootComplex::new("rc", RootComplexConfig::default(), host, down)
-                .with_device_range(BAR)
-                .with_pcie_module(sw),
-        ));
+        let mut rc = RootComplex::new("rc", RootComplexConfig::default(), host, down);
+        rc.add_device_range(BAR);
+        rc.add_pcie_module(sw);
+        let rc = k.add_module(Box::new(rc));
         // Completion for the device (next hop = switch): exits down_link.
         let mut cpl = Packet::request(0, MemCmd::ReadReq, 0x1000, 64, 0).to_response();
         cpl.route.push(sw);

@@ -122,12 +122,6 @@ impl PcieSwitch {
         self.ports.push(port);
     }
 
-    /// Builder-style [`PcieSwitch::add_port`].
-    pub fn with_port(mut self, port: SwitchPort) -> Self {
-        self.add_port(port);
-        self
-    }
-
     /// Number of downstream ports (the paper's scalability feature).
     pub fn port_count(&self) -> usize {
         self.ports.len()
@@ -229,13 +223,13 @@ mod tests {
             name: "ep",
             got: vec![],
         }));
-        let sw = k.add_module(Box::new(
-            PcieSwitch::new("sw", PcieSwitchConfig::default(), up).with_port(SwitchPort {
-                egress_link: down,
-                endpoint: ep,
-                ranges: vec![AddrRange::new(0x1_0000_0000, 0x1000_0000)],
-            }),
-        ));
+        let mut sw = PcieSwitch::new("sw", PcieSwitchConfig::default(), up);
+        sw.add_port(SwitchPort {
+            egress_link: down,
+            endpoint: ep,
+            ranges: vec![AddrRange::new(0x1_0000_0000, 0x1000_0000)],
+        });
+        let sw = k.add_module(Box::new(sw));
         // Device-addressed request goes down; host-addressed goes up.
         let p1 = Packet::request(0, MemCmd::WriteReq, 0x1_0000_0040, 64, 0);
         let p2 = Packet::request(1, MemCmd::ReadReq, 0x4000, 64, 0);
@@ -266,13 +260,13 @@ mod tests {
             name: "ep",
             got: vec![],
         }));
-        let sw = k.add_module(Box::new(
-            PcieSwitch::new("sw", PcieSwitchConfig::default(), up).with_port(SwitchPort {
-                egress_link: down,
-                endpoint: ep,
-                ranges: vec![],
-            }),
-        ));
+        let mut sw = PcieSwitch::new("sw", PcieSwitchConfig::default(), up);
+        sw.add_port(SwitchPort {
+            egress_link: down,
+            endpoint: ep,
+            ranges: vec![],
+        });
+        let sw = k.add_module(Box::new(sw));
         // A completion whose next hop is the endpoint must leave on the
         // downstream egress; one for anything else goes upstream.
         let mut cpl = Packet::request(0, MemCmd::ReadReq, 0, 64, 0).to_response();
@@ -331,20 +325,17 @@ mod tests {
             got: vec![],
         }));
         let bar = AddrRange::new(0x1_0000_0000, 0x1000_0000);
-        let child = k.add_module(Box::new(
-            PcieSwitch::new("child", PcieSwitchConfig::default(), child_up)
-                .with_port(SwitchPort::aggregated(child_down, ep, [bar])),
-        ));
+        let mut child = PcieSwitch::new("child", PcieSwitchConfig::default(), child_up);
+        child.add_port(SwitchPort::aggregated(child_down, ep, [bar]));
+        let child = k.add_module(Box::new(child));
         let root_down = k.add_module(Box::new(Term {
             name: "root_down",
             got: vec![],
         }));
-        let root = k.add_module(Box::new(
-            PcieSwitch::new("root", PcieSwitchConfig::default(), up).with_port(
-                // The root port fronts the whole child subtree.
-                SwitchPort::aggregated(root_down, child, [bar]),
-            ),
-        ));
+        let mut root = PcieSwitch::new("root", PcieSwitchConfig::default(), up);
+        // The root port fronts the whole child subtree.
+        root.add_port(SwitchPort::aggregated(root_down, child, [bar]));
+        let root = k.add_module(Box::new(root));
         // A device-addressed request at the root leaves on the subtree port.
         let req = Packet::request(0, MemCmd::WriteReq, bar.base + 0x40, 64, 0);
         k.schedule(0, root, Msg::packet(req));

@@ -78,12 +78,6 @@ impl Xbar {
         self.routes.push((range, dst));
     }
 
-    /// Builder-style [`Xbar::add_route`].
-    pub fn with_route(mut self, range: AddrRange, dst: ModuleId) -> Self {
-        self.add_route(range, dst);
-        self
-    }
-
     fn route(&self, addr: u64) -> ModuleId {
         self.routes
             .iter()

@@ -29,12 +29,25 @@ pub struct Arrival {
 pub enum TraceError {
     /// The JSON did not parse as a list of arrivals.
     Parse(String),
+    /// Arrival `index` (in file order) names a tenant id at or past
+    /// [`crate::MAX_TENANTS`].
+    Tenant {
+        /// Position of the arrival in the JSON list.
+        index: usize,
+        /// The out-of-range tenant id.
+        tenant: u32,
+    },
 }
 
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceError::Parse(msg) => write!(f, "arrival trace did not parse: {msg}"),
+            TraceError::Tenant { index, tenant } => write!(
+                f,
+                "arrival {index}: tenant {tenant} is out of range (ids must be below {})",
+                crate::MAX_TENANTS
+            ),
         }
     }
 }
@@ -57,15 +70,28 @@ impl std::error::Error for TraceError {}
 /// assert_eq!(arrivals[0].at_ns, 0);
 /// assert_eq!(arrivals[1].tenant, 1);
 /// assert!(trace_from_json("not json").is_err());
+/// // Tenant ids are bounded by `MAX_TENANTS`.
+/// assert!(trace_from_json(r#"[{"at_ns": 0, "tenant": 1024}]"#).is_err());
 /// ```
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Parse`] when the input is not a JSON list of
-/// arrival objects.
+/// arrival objects, and [`TraceError::Tenant`] when an arrival's tenant
+/// id is not below [`crate::MAX_TENANTS`].
 pub fn trace_from_json(json: &str) -> Result<Vec<Arrival>, TraceError> {
     let mut arrivals: Vec<Arrival> =
         serde_json::from_str(json).map_err(|e| TraceError::Parse(format!("{e:?}")))?;
+    if let Some((index, a)) = arrivals
+        .iter()
+        .enumerate()
+        .find(|(_, a)| a.tenant >= crate::MAX_TENANTS)
+    {
+        return Err(TraceError::Tenant {
+            index,
+            tenant: a.tenant,
+        });
+    }
     arrivals.sort_by_key(|a| a.at_ns);
     Ok(arrivals)
 }

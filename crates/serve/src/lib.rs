@@ -82,3 +82,10 @@ pub use llm::{
 };
 pub use policy::Policy;
 pub use queue::{AdmissionQueue, Queued, Rejected};
+
+/// The most tenants one run may name: tenant ids are `0..MAX_TENANTS`.
+/// The engines keep per-tenant state (a latency histogram each) indexed
+/// by id, so the spec loader, [`trace_from_json`] and the fleet spec
+/// reject larger counts and ids with a typed error instead of
+/// allocating for them.
+pub const MAX_TENANTS: u32 = 1024;

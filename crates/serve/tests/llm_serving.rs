@@ -3,7 +3,7 @@
 //! entry errors, and byte-identical trace replay of a mixed
 //! prefill/decode arrival file.
 
-use accesys::topology::{switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_mem::MemTech;
 use accesys_serve::{
@@ -16,11 +16,8 @@ use accesys_workload::llm::LlmSpec;
 fn two_leaf_sim() -> Simulation {
     let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(5_000.0);
     cfg.smmu = None;
-    let spec = switch_tree_with(&cfg, &[2], |_| EndpointOptions {
-        accel: None,
-        dev_mem: Some(MemBackendConfig::Dram(MemTech::Hbm2)),
-    })
-    .expect("valid tree");
+    let spec = switch_tree_with(&cfg, &[2], |_| Some(MemBackendConfig::Dram(MemTech::Hbm2)))
+        .expect("valid tree");
     Simulation::from_topology(cfg, &spec).expect("valid topology")
 }
 

@@ -23,7 +23,7 @@ use crate::scenario::{
 use crate::SpecError;
 use accesys::addrmap::MAX_ACCELS;
 use accesys_serve::llm::KV_BUDGET_MAX;
-use accesys_serve::{Arrival, LlmRequestShape, RequestShape};
+use accesys_serve::{Arrival, LlmRequestShape, RequestShape, MAX_TENANTS};
 use accesys_workload::llm::LlmSpec;
 
 /// Resolve and validate a parsed document into a [`Scenario`].
@@ -638,6 +638,13 @@ fn resolve_traffic(doc: &Document) -> Result<TrafficSpec, SpecError> {
                     "must be sorted by arrival time",
                 ));
             }
+            if let Some(&t) = tenant.iter().find(|&&t| t >= MAX_TENANTS) {
+                return Err(invalid(
+                    tenant_line,
+                    "traffic.tenant",
+                    &format!("names tenant {t}; ids must be below {MAX_TENANTS}"),
+                ));
+            }
             if tenant.len() != at_ns.len() {
                 return Err(invalid(
                     tenant_line,
@@ -677,8 +684,12 @@ fn resolve_traffic(doc: &Document) -> Result<TrafficSpec, SpecError> {
 
 fn need_tenants(section: &Section) -> Result<u32, SpecError> {
     let (tenants, line) = need_u32(section, "tenants")?;
-    if tenants == 0 {
-        return Err(invalid(line, "traffic.tenants", "must be at least 1"));
+    if tenants == 0 || tenants > MAX_TENANTS {
+        return Err(invalid(
+            line,
+            "traffic.tenants",
+            &format!("must be in 1..={MAX_TENANTS}, got {tenants}"),
+        ));
     }
     Ok(tenants)
 }

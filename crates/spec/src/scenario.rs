@@ -12,7 +12,7 @@
 //! panics on a validated spec.
 
 use crate::SpecError;
-use accesys::topology::{switch_tree, switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig, TopologySpec};
 use accesys_exp::Scale;
 use accesys_mem::MemTech;
@@ -117,16 +117,10 @@ impl SystemSpec {
     /// Lower to a switch-tree [`TopologySpec`] with the given per-level
     /// fan-outs.
     pub fn tree(&self, levels: &[u32]) -> Result<TopologySpec, SpecError> {
-        let cfg = self.config();
-        let spec = if self.devmem.is_none() && self.leaves.is_none() {
-            switch_tree(&cfg, levels)
-        } else {
-            switch_tree_with(&cfg, levels, |i| EndpointOptions {
-                accel: None,
-                dev_mem: self.leaf_devmem(i).map(MemBackendConfig::Dram),
-            })
-        };
-        spec.map_err(|e| SpecError::Instantiate {
+        switch_tree_with(&self.config(), levels, |i| {
+            self.leaf_devmem(i).map(MemBackendConfig::Dram)
+        })
+        .map_err(|e| SpecError::Instantiate {
             message: e.to_string(),
         })
     }

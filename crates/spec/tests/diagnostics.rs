@@ -383,3 +383,43 @@ fn non_poisson_fleet_traffic_is_rejected() {
          (every host shard regenerates the trace from the seed)",
     );
 }
+
+// ---------------------------------------------------------------------
+// Tenant ids and counts: the engines keep per-tenant state indexed by
+// id, so both are bounded by `accesys_serve::MAX_TENANTS`.
+
+const SERVING: &str = include_str!("../../../specs/two_tenant_mix.spec");
+const POISSON_TRAFFIC: &str = "process = \"poisson\"\ntenants = 2\nseed = 0xACCE5";
+
+#[test]
+fn an_out_of_range_trace_tenant_is_rejected_not_overflowed() {
+    let text = SERVING.replace(
+        POISSON_TRAFFIC,
+        "process = \"trace\"\nat_ns = [0, 1000]\ntenant = [0, 4294967295]",
+    );
+    let line = line_of(&text, "tenant = [");
+    let err = expect_diag(
+        &text,
+        "tenant = [",
+        Some("traffic.tenant"),
+        &format!("line {line}: `traffic.tenant` names tenant 4294967295; ids must be below 1024"),
+    );
+    assert!(matches!(err, SpecError::Invalid { .. }));
+}
+
+#[test]
+fn a_tenant_count_past_the_cap_is_rejected() {
+    let text = SERVING.replace(
+        POISSON_TRAFFIC,
+        "process = \"poisson\"\ntenants = 4000000000\nseed = 0xACCE5",
+    );
+    let line = line_of(&text, "tenants =");
+    expect_diag(
+        &text,
+        "tenants =",
+        Some("traffic.tenants"),
+        &format!("line {line}: `traffic.tenants` must be in 1..=1024, got 4000000000"),
+    );
+    // The cap itself is accepted.
+    load_str(&SERVING.replace("tenants = 2", "tenants = 1024")).expect("1024 tenants load");
+}

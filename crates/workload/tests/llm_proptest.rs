@@ -5,7 +5,7 @@
 //! (checked against an independent shadow model), and sweeps stay
 //! byte-identical across worker counts.
 
-use accesys::topology::{switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_exp::{Experiment, Grid, Jobs};
 use accesys_mem::MemTech;
@@ -34,9 +34,8 @@ impl Gen {
 fn tree_sim(levels: &[u32]) -> Simulation {
     let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(5_000.0);
     cfg.smmu = None;
-    let spec = switch_tree_with(&cfg, levels, |_| EndpointOptions {
-        accel: None,
-        dev_mem: Some(MemBackendConfig::Dram(MemTech::Hbm2)),
+    let spec = switch_tree_with(&cfg, levels, |_| {
+        Some(MemBackendConfig::Dram(MemTech::Hbm2))
     })
     .expect("generated trees are valid");
     Simulation::from_topology(cfg, &spec).expect("valid topology")

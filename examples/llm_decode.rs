@@ -7,7 +7,7 @@
 //! cargo run --release --example llm_decode
 //! ```
 
-use accesys::topology::{switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_mem::MemTech;
 use accesys_serve::{serve_llm, ArrivalSpec, LlmRequestShape, LlmServeConfig, Policy};
@@ -19,10 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(5_000.0);
     cfg.smmu = None;
     let tree = |cfg: &SystemConfig| {
-        switch_tree_with(cfg, &[4], |_| EndpointOptions {
-            accel: None,
-            dev_mem: Some(MemBackendConfig::Dram(MemTech::Hbm2)),
-        })
+        switch_tree_with(cfg, &[4], |_| Some(MemBackendConfig::Dram(MemTech::Hbm2)))
     };
 
     // Every client sends the same autoregressive request: a tiny

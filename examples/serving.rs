@@ -6,7 +6,7 @@
 //! cargo run --release --example serving
 //! ```
 
-use accesys::topology::{switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_mem::MemTech;
 use accesys_serve::{serve, ArrivalSpec, Policy, RequestShape, ServeConfig};
@@ -18,10 +18,7 @@ fn main() -> Result<(), accesys::Error> {
     let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(50_000.0);
     cfg.smmu = None;
     let tree = |cfg: &SystemConfig| {
-        switch_tree_with(cfg, &[4], |_| EndpointOptions {
-            accel: None,
-            dev_mem: Some(MemBackendConfig::Dram(MemTech::Hbm2)),
-        })
+        switch_tree_with(cfg, &[4], |_| Some(MemBackendConfig::Dram(MemTech::Hbm2)))
     };
 
     // Every client sends the same request: a two-layer encoder, small

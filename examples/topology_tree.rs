@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release --example topology_tree`.
 
-use gem5_accesys::accesys::topology::{self, EndpointOptions};
+use gem5_accesys::accesys::topology;
 use gem5_accesys::prelude::*;
 use gem5_accesys::workload::GemmSpec;
 
@@ -39,9 +39,8 @@ fn main() -> Result<(), Error> {
     // its shard never crosses PCIe while leaf 0 streams from host DRAM.
     let mut cfg = SystemConfig::pcie_host(8.0, MemTech::Ddr4);
     cfg.smmu = None;
-    let tree = topology::switch_tree_with(&cfg, &[2], |i| EndpointOptions {
-        accel: None,
-        dev_mem: (i == 1).then_some(gem5_accesys::accesys::MemBackendConfig::Dram(MemTech::Hbm2)),
+    let tree = topology::switch_tree_with(&cfg, &[2], |i| {
+        (i == 1).then_some(gem5_accesys::accesys::MemBackendConfig::Dram(MemTech::Hbm2))
     })?;
     let mut sim = Simulation::from_topology(cfg, &tree)?;
     let report = sim.run_gemm_sharded(spec)?;

@@ -5,7 +5,7 @@
 //! cargo run --release --example workload_graph
 //! ```
 
-use accesys::topology::{switch_tree_with, EndpointOptions};
+use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_mem::MemTech;
 use accesys_workload::graph::{
@@ -20,10 +20,7 @@ fn main() -> Result<(), accesys::Error> {
     let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_compute_override_ns(50_000.0);
     cfg.smmu = None;
     let tree = |cfg: &SystemConfig| {
-        switch_tree_with(cfg, &[4], |_| EndpointOptions {
-            accel: None,
-            dev_mem: Some(MemBackendConfig::Dram(MemTech::Hbm2)),
-        })
+        switch_tree_with(cfg, &[4], |_| Some(MemBackendConfig::Dram(MemTech::Hbm2)))
     };
 
     println!("== workload graphs on a 4-leaf switch tree ==\n");

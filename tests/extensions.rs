@@ -2,6 +2,7 @@
 //! accelerator clusters, DRAM energy/refresh/policies, packet tracing
 //! and link error injection — all through the public API.
 
+use accesys::topology::switch_tree;
 use accesys::{InterconnectKind, Simulation, SystemConfig};
 use accesys_mem::{AddressMapping, MemTech, PagePolicy};
 use accesys_sim::PacketTrace;
@@ -34,8 +35,9 @@ fn cxl_moves_no_pcie_tlps() {
 
 #[test]
 fn sharded_cluster_produces_every_shard_once() {
-    let cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4).with_accel_count(3);
-    let mut sim = Simulation::new(cfg).unwrap();
+    let cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4);
+    let spec = switch_tree(&cfg, &[3]).unwrap();
+    let mut sim = Simulation::from_topology(cfg, &spec).unwrap();
     // 200 rows over 3 members: shards of 67/67/66.
     let report = sim.run_gemm_sharded(GemmSpec::new(200, 128, 128)).unwrap();
     assert_eq!(report.jobs.len(), 3);
@@ -48,15 +50,16 @@ fn sharded_cluster_produces_every_shard_once() {
 
 #[test]
 fn cluster_members_share_the_switch_uplink() {
-    let cfg = SystemConfig::pcie_host(8.0, MemTech::Ddr4).with_accel_count(2);
-    let mut sim = Simulation::new(cfg).unwrap();
+    let cfg = SystemConfig::pcie_host(8.0, MemTech::Ddr4);
+    let spec = switch_tree(&cfg, &[2]).unwrap();
+    let mut sim = Simulation::from_topology(cfg, &spec).unwrap();
     let report = sim.run_gemm_sharded(GemmSpec::square(128)).unwrap();
     // Each member has its own downstream link; the upstream is shared.
-    assert!(report.stats.get_or_zero("link.ep_up0.tlps") > 0.0);
-    assert!(report.stats.get_or_zero("link.ep_up1.tlps") > 0.0);
-    let up = report.stats.get_or_zero("link.sw_up.tlps");
-    let down0 = report.stats.get_or_zero("link.ep_up0.tlps");
-    let down1 = report.stats.get_or_zero("link.ep_up1.tlps");
+    assert!(report.stats.get_or_zero("link.ep0.up.tlps") > 0.0);
+    assert!(report.stats.get_or_zero("link.ep1.up.tlps") > 0.0);
+    let up = report.stats.get_or_zero("link.sw0.up.tlps");
+    let down0 = report.stats.get_or_zero("link.ep0.up.tlps");
+    let down1 = report.stats.get_or_zero("link.ep1.up.tlps");
     assert_eq!(up, down0 + down1);
 }
 

@@ -257,9 +257,9 @@ proptest! {
         accels in 1u32..5,
     ) {
         use accesys_mem::MemTech;
-        let cfg = accesys::SystemConfig::pcie_host(16.0, MemTech::Ddr4)
-            .with_accel_count(accels);
-        let mut sim = Simulation::new(cfg).unwrap();
+        let cfg = accesys::SystemConfig::pcie_host(16.0, MemTech::Ddr4);
+        let tree = accesys::topology::switch_tree(&cfg, &[accels]).unwrap();
+        let mut sim = Simulation::from_topology(cfg, &tree).unwrap();
         let spec = GemmSpec::new(m, 64, 64);
         let report = sim.run_gemm_sharded(spec).unwrap();
         let stored: u64 = report.jobs.iter().map(|j| j.bytes_stored).sum();
