@@ -23,7 +23,8 @@
 //!
 //! `validate` loads every named file, dry-builds its topologies and
 //! traffic at both scales without running a sweep, and reports one
-//! line per file; any diagnostic makes the exit status 1.
+//! line per file: `ok` lines on stdout, errors on stderr; any diagnostic
+//! makes the exit status 1.
 //!
 //! Every loader failure is a typed [`accesys_spec::SpecError`] printed
 //! with its line and field — never a panic.
@@ -254,7 +255,7 @@ fn cmd_validate(names: &[String]) -> i32 {
         match validate_one(name) {
             Ok(summary) => println!("{name}: ok ({summary})"),
             Err(err) => {
-                println!("{name}: error: {err}");
+                eprintln!("{name}: error: {err}");
                 failures += 1;
             }
         }

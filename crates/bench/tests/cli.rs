@@ -122,6 +122,7 @@ fn an_out_of_range_trace_tenant_fails_validation_without_a_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
     assert!(!stderr.contains("panicked"), "validate panicked:\n{stderr}");
-    // `validate` reports each spec's verdict on stdout.
-    assert!(String::from_utf8_lossy(&out.stdout).contains("`traffic.tenant`"));
+    // `validate` reports failures on stderr, like `run` and usage errors.
+    assert!(stderr.contains("`traffic.tenant`"), "stderr:\n{stderr}");
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("`traffic.tenant`"));
 }

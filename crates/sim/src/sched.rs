@@ -7,12 +7,15 @@
 //! `O(log n)` comparison-and-move work on *every* push and pop regardless
 //! of that locality. [`EventQueue`] exploits it instead:
 //!
-//! * **Near level** — a ring of [`NUM_BUCKETS`] buckets, each covering
-//!   [`BUCKET_TICKS`] ticks, indexed by `when >> BUCKET_BITS`. Events
-//!   within the ring horizon (≈1 µs of simulated time) are appended to
-//!   their bucket in O(1); a bucket is sorted lazily, only when the drain
-//!   cursor reaches it. An occupancy bitmap finds the next non-empty
-//!   bucket in a handful of word operations.
+//! * **Near level** — Brown's calendar queue: a ring of [`NUM_BUCKETS`]
+//!   buckets of [`BUCKET_TICKS`] ticks, indexed by `when >> BUCKET_BITS`.
+//!   Each bucket is an intrusive list, sorted ascending by `(when, seq)`,
+//!   over one node slab with a LIFO free list: the slab grows to the
+//!   peak queue depth, then reuses hot nodes. An event within the
+//!   horizon (≈1 µs) links into an empty bucket or after its tail in
+//!   O(1); only an out-of-order key walks the list. The front bucket's
+//!   head is the next event, so nothing is ever sorted, and an occupancy
+//!   bitmap finds that bucket in a handful of word operations.
 //! * **Far level** — events beyond the horizon (refresh timers,
 //!   end-of-run deadlines) go to a conventional binary min-heap. As
 //!   simulated time advances and the ring window slides forward, far
@@ -26,11 +29,11 @@
 //! schedules).
 
 use crate::Tick;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Log2 of the bucket width: each bucket spans 2^10 ticks ≈ 1 ns.
-pub const BUCKET_BITS: u32 = 10;
+/// Log2 of the bucket width: each bucket spans 2^9 ticks ≈ 0.5 ns.
+pub const BUCKET_BITS: u32 = 9;
 
 /// Ticks covered by one calendar bucket.
 pub const BUCKET_TICKS: u64 = 1 << BUCKET_BITS;
@@ -39,36 +42,21 @@ pub const BUCKET_TICKS: u64 = 1 << BUCKET_BITS;
 /// [`BUCKET_TICKS`] this puts the near-future horizon at 2^20 ticks
 /// (≈1 µs), which covers link serialization, cache and DRAM latencies;
 /// only coarse-grained timers overflow to the far heap.
-pub const NUM_BUCKETS: usize = 1024;
+pub const NUM_BUCKETS: usize = 2048;
 
 const WORDS: usize = NUM_BUCKETS / 64;
 
-struct Entry<T> {
+/// End-of-list marker for slab links.
+const NIL: u32 = u32::MAX;
+
+/// One slab node: an event plus the link to the next node of its bucket
+/// (or of the free list). `payload` is `None` exactly while the node is
+/// free. With the kernel's 24-byte payload a node is 48 bytes.
+struct Node<T> {
     when: Tick,
     seq: u64,
-    payload: T,
-}
-
-/// Overflow-heap wrapper ordered by reversed `(when, seq)` so the
-/// `BinaryHeap` pops the earliest event first. Payloads never take part
-/// in comparisons.
-struct FarEntry<T>(Entry<T>);
-
-impl<T> PartialEq for FarEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.0.when, self.0.seq) == (other.0.when, other.0.seq)
-    }
-}
-impl<T> Eq for FarEntry<T> {}
-impl<T> PartialOrd for FarEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for FarEntry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.0.when, other.0.seq).cmp(&(self.0.when, self.0.seq))
-    }
+    next: u32,
+    payload: Option<T>,
 }
 
 /// A two-level event queue draining in ascending `(when, seq)` order.
@@ -92,18 +80,23 @@ impl<T> Ord for FarEntry<T> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<T> {
-    /// Calendar ring; slot `b % NUM_BUCKETS` holds bucket number `b`.
-    buckets: Vec<Vec<Entry<T>>>,
+    /// Node storage for every queued event, near and far.
+    nodes: Vec<Node<T>>,
+    /// Head of the LIFO free list threaded through `nodes`.
+    free: u32,
+    /// First and last node of slot `b % NUM_BUCKETS` (bucket number `b`),
+    /// valid only while the slot's `occupied` bit is set.
+    heads: Box<[u32]>,
+    tails: Box<[u32]>,
     /// One bit per slot: set while the slot's bucket is non-empty.
     occupied: [u64; WORDS],
-    /// Far-future events, beyond `base_bucket + NUM_BUCKETS`.
-    far: BinaryHeap<FarEntry<T>>,
+    /// Slab indices of far-future events (beyond `base_bucket +
+    /// NUM_BUCKETS`), a min-heap on `(when, seq)`; `seq` is unique, so
+    /// the index never decides the order.
+    far: BinaryHeap<Reverse<(Tick, u64, u32)>>,
     /// Bucket number of the most recently popped event; the ring window
     /// is `[base_bucket, base_bucket + NUM_BUCKETS)`.
     base_bucket: u64,
-    /// Bucket number currently kept sorted (descending, popped from the
-    /// back); other buckets are unsorted until the cursor reaches them.
-    sorted_bucket: Option<u64>,
     /// Front location computed by the last [`EventQueue::peek_when`],
     /// reused by the following [`EventQueue::pop`] so the kernel's
     /// peek-then-pop loop locates the front once per event, not twice.
@@ -123,11 +116,13 @@ impl<T> EventQueue<T> {
     /// An empty queue with its window at tick 0.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; NUM_BUCKETS].into_boxed_slice(),
+            tails: vec![NIL; NUM_BUCKETS].into_boxed_slice(),
             occupied: [0; WORDS],
             far: BinaryHeap::new(),
             base_bucket: 0,
-            sorted_bucket: None,
             front_cache: None,
             len: 0,
             peak_len: 0,
@@ -153,30 +148,27 @@ impl<T> EventQueue<T> {
         when >> BUCKET_BITS
     }
 
-    fn set_bit(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1u64 << (slot % 64);
+    fn key(&self, i: u32) -> (Tick, u64) {
+        let n = &self.nodes[i as usize];
+        (n.when, n.seq)
     }
 
-    fn clear_bit(&mut self, slot: usize) {
-        self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-    }
-
-    /// First occupied slot at ring distance 0..NUM_BUCKETS from `start`.
-    fn next_occupied(&self, start: usize) -> Option<usize> {
-        // Word containing `start`, masked to bits at or after it.
-        let first_word = start / 64;
-        let masked = self.occupied[first_word] & (!0u64 << (start % 64));
-        if masked != 0 {
-            return Some(first_word * 64 + masked.trailing_zeros() as usize);
-        }
-        // Remaining words in ring order, wrapping, then the bits of the
-        // first word *before* `start`.
-        for i in 1..=WORDS {
+    /// The slot holding the earliest event; `None` when the ring is
+    /// empty (the far heap may not be).
+    #[inline]
+    fn front_slot(&self) -> Option<usize> {
+        // Scan from the window's first slot: its word (bits at or after
+        // it), the other words in ring order, then its word's bits before.
+        let start = (self.base_bucket % NUM_BUCKETS as u64) as usize;
+        let (first_word, at_or_after) = (start / 64, !0u64 << (start % 64));
+        for i in 0..=WORDS {
             let w = (first_word + i) % WORDS;
-            let mut word = self.occupied[w];
-            if i == WORDS {
-                word &= !(!0u64 << (start % 64));
-            }
+            let word = self.occupied[w]
+                & match i {
+                    0 => at_or_after,
+                    WORDS => !at_or_after,
+                    _ => !0,
+                };
             if word != 0 {
                 return Some(w * 64 + word.trailing_zeros() as usize);
             }
@@ -184,69 +176,86 @@ impl<T> EventQueue<T> {
         None
     }
 
+    /// Take a node off the free list (or grow the slab) and fill it.
+    #[inline(always)]
+    fn alloc(&mut self, when: Tick, seq: u64, payload: T) -> u32 {
+        let node = Node {
+            when,
+            seq,
+            next: NIL,
+            payload: Some(payload),
+        };
+        if self.free == NIL {
+            self.nodes.push(node);
+            return u32::try_from(self.nodes.len() - 1).expect("event slab overflow");
+        }
+        let i = self.free;
+        self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+        i
+    }
+
+    /// Link node `i` into ring slot `slot`, keeping the list ascending.
+    /// An empty slot and an append after the tail are inlined; any other
+    /// position takes the out-of-line `link_before_tail`.
+    #[inline(always)]
+    fn link(&mut self, slot: usize, i: u32) {
+        let bit = 1u64 << (slot % 64);
+        if self.occupied[slot / 64] & bit == 0 {
+            self.occupied[slot / 64] |= bit;
+            (self.heads[slot], self.tails[slot]) = (i, i);
+        } else if self.key(self.tails[slot]) < self.key(i) {
+            self.nodes[self.tails[slot] as usize].next = i;
+            self.tails[slot] = i;
+        } else {
+            self.link_before_tail(slot, i);
+        }
+    }
+
+    /// Insert node `i`, whose key precedes the slot's tail, before the
+    /// first node with a larger key (a prepend or a list walk).
+    #[inline(never)]
+    fn link_before_tail(&mut self, slot: usize, i: u32) {
+        let (key, mut prev, mut next) = (self.key(i), NIL, self.heads[slot]);
+        while self.key(next) < key {
+            (prev, next) = (next, self.nodes[next as usize].next);
+        }
+        self.nodes[i as usize].next = next;
+        match prev {
+            NIL => self.heads[slot] = i,
+            _ => self.nodes[prev as usize].next = i,
+        }
+    }
+
     /// Append one event. `seq` must be unique; `(when, seq)` must not
     /// precede the last popped event (debug-asserted).
     ///
-    /// Inlined into every send site: the common case is an append to an
-    /// unsorted near bucket; inserts into the cursor's sorted bucket and
-    /// far-heap pushes take the out-of-line `push_slow`.
+    /// Inlined into every send site: the common cases are a link into an
+    /// empty near bucket and an append after its tail; out-of-order
+    /// inserts and far-heap pushes go out of line.
     #[inline(always)]
     pub fn push(&mut self, when: Tick, seq: u64, payload: T) {
         debug_assert!(
             Self::bucket_no(when) >= self.base_bucket,
-            "push at tick {when} behind the drain window (bucket {} < {})",
-            Self::bucket_no(when),
-            self.base_bucket
+            "push at tick {when} behind the drain window"
         );
         self.front_cache = None;
-        let entry = Entry { when, seq, payload };
+        let i = self.alloc(when, seq, payload);
         // A release-mode push behind the window (a clamping bug upstream)
-        // degrades gracefully: it lands in the current bucket and pops
-        // almost immediately, matching the plain heap's behaviour.
+        // degrades gracefully: it lands at the head of the current bucket
+        // and pops almost immediately, matching the plain heap's behaviour.
         let bucket = Self::bucket_no(when).max(self.base_bucket);
-        if bucket < self.base_bucket + NUM_BUCKETS as u64 && self.sorted_bucket != Some(bucket) {
-            let slot = (bucket % NUM_BUCKETS as u64) as usize;
-            self.buckets[slot].push(entry);
-            self.set_bit(slot);
+        if bucket < self.base_bucket + NUM_BUCKETS as u64 {
+            self.link((bucket % NUM_BUCKETS as u64) as usize, i);
         } else {
-            self.push_slow(bucket, entry);
+            self.push_far(when, seq, i);
         }
         self.len += 1;
         self.peak_len = self.peak_len.max(self.len);
     }
 
-    /// The rest of [`EventQueue::push`], kept out of line so the inlined
-    /// fast path stays small.
     #[inline(never)]
-    fn push_slow(&mut self, bucket: u64, entry: Entry<T>) {
-        if bucket < self.base_bucket + NUM_BUCKETS as u64 {
-            self.ring_insert(bucket, entry);
-        } else {
-            self.far.push(FarEntry(entry));
-        }
-    }
-
-    fn ring_insert(&mut self, bucket: u64, entry: Entry<T>) {
-        let slot = (bucket % NUM_BUCKETS as u64) as usize;
-        let vec = &mut self.buckets[slot];
-        if self.sorted_bucket == Some(bucket) {
-            // Keep the cursor's bucket sorted (descending) so the next
-            // pop stays O(1) off the back.
-            let key = (entry.when, entry.seq);
-            let pos = vec.partition_point(|e| (e.when, e.seq) > key);
-            vec.insert(pos, entry);
-        } else {
-            vec.push(entry);
-        }
-        self.set_bit(slot);
-    }
-
-    /// Sort `slot` (descending) unless it is already the sorted bucket.
-    fn ensure_sorted(&mut self, slot: usize, bucket: u64) {
-        if self.sorted_bucket != Some(bucket) {
-            self.buckets[slot].sort_unstable_by_key(|e| std::cmp::Reverse((e.when, e.seq)));
-            self.sorted_bucket = Some(bucket);
-        }
+    fn push_far(&mut self, when: Tick, seq: u64, i: u32) {
+        self.far.push(Reverse((when, seq, i)));
     }
 
     /// Slide the window forward to the popped event's bucket and migrate
@@ -258,31 +267,19 @@ impl<T> EventQueue<T> {
         }
         self.base_bucket = bucket;
         let horizon = self.base_bucket + NUM_BUCKETS as u64;
-        while let Some(top) = self.far.peek() {
-            if Self::bucket_no(top.0.when) >= horizon {
+        while let Some(&Reverse((when, _, i))) = self.far.peek() {
+            if Self::bucket_no(when) >= horizon {
                 break;
             }
-            let FarEntry(entry) = self.far.pop().expect("peeked far event vanished");
-            self.ring_insert(Self::bucket_no(entry.when), entry);
+            self.far.pop();
+            self.link((Self::bucket_no(when) % NUM_BUCKETS as u64) as usize, i);
         }
-    }
-
-    /// Locate the slot holding the earliest event, sorting it if needed.
-    /// Returns `None` when the ring is empty (the far heap may not be).
-    #[inline]
-    fn front_slot(&mut self) -> Option<usize> {
-        let start = (self.base_bucket % NUM_BUCKETS as u64) as usize;
-        let slot = self.next_occupied(start)?;
-        let dist = (slot + NUM_BUCKETS - start) % NUM_BUCKETS;
-        let bucket = self.base_bucket + dist as u64;
-        self.ensure_sorted(slot, bucket);
-        Some(slot)
     }
 
     /// Delivery tick of the earliest event without removing it.
     ///
-    /// Takes `&mut self` because it may lazily sort the front bucket
-    /// (and caches the located front for the next [`EventQueue::pop`]).
+    /// Takes `&mut self` because it caches the located front for the
+    /// next [`EventQueue::pop`].
     #[inline]
     pub fn peek_when(&mut self) -> Option<Tick> {
         if self.len == 0 {
@@ -291,34 +288,25 @@ impl<T> EventQueue<T> {
         let front = self.front_slot();
         self.front_cache = Some(front);
         match front {
-            Some(slot) => self.buckets[slot].last().map(|e| e.when),
-            None => self.far.peek().map(|e| e.0.when),
+            Some(slot) => Some(self.nodes[self.heads[slot] as usize].when),
+            None => self.far.peek().map(|&Reverse((when, _, _))| when),
         }
     }
 
     /// Remove every queued event as unsorted `(when, seq, payload)`
-    /// triples and rewind the window to tick 0 (peak statistics are
-    /// kept).
-    ///
-    /// Unlike pop-draining, rewinding means the emptied queue can
-    /// immediately accept re-pushes at *any* tick — pops would have
-    /// advanced `base_bucket` past earlier events. The kernel uses this to
-    /// strip an aborted handler's partial sends: it drains everything and
-    /// re-pushes the survivors, which leaves [`EventQueue::peak_len`]
-    /// untouched.
+    /// triples, empty the node slab and rewind the window to tick 0, so
+    /// the queue accepts re-pushes at *any* tick. The kernel strips an
+    /// aborted handler's partial sends this way: it drains everything and
+    /// re-pushes the survivors, leaving [`EventQueue::peak_len`] as is.
     pub fn drain_all(&mut self) -> Vec<(Tick, u64, T)> {
         let mut out = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            for e in bucket.drain(..) {
-                out.push((e.when, e.seq, e.payload));
-            }
+        for n in self.nodes.drain(..) {
+            out.extend(n.payload.map(|p| (n.when, n.seq, p)));
         }
-        for FarEntry(e) in std::mem::take(&mut self.far) {
-            out.push((e.when, e.seq, e.payload));
-        }
+        self.far.clear();
+        self.free = NIL;
         self.occupied = [0; WORDS];
         self.base_bucket = 0;
-        self.sorted_bucket = None;
         self.front_cache = None;
         self.len = 0;
         out
@@ -336,25 +324,37 @@ impl<T> EventQueue<T> {
             Some(front) => front,
             None => self.front_slot(),
         };
-        let entry = match front {
+        let i = match front {
             Some(slot) => {
-                let e = self.buckets[slot].pop().expect("occupied bucket was empty");
-                if self.buckets[slot].is_empty() {
-                    self.clear_bit(slot);
+                let i = self.heads[slot];
+                let next = self.nodes[i as usize].next;
+                if next == NIL {
+                    self.occupied[slot / 64] &= !(1u64 << (slot % 64));
+                } else {
+                    self.heads[slot] = next;
                 }
-                e
+                i
             }
-            None => self.far.pop().expect("non-empty queue had no events").0,
+            None => self.far.pop().expect("non-empty queue had no events").0 .2,
         };
+        // Free the node: back on top of the LIFO free list.
+        let node = &mut self.nodes[i as usize];
+        let payload = node.payload.take().expect("queued node was free");
+        let (when, seq) = (node.when, node.seq);
+        node.next = self.free;
+        self.free = i;
         self.len -= 1;
-        self.advance_base(entry.when);
-        Some((entry.when, entry.seq, entry.payload))
+        self.advance_base(when);
+        Some((when, seq, payload))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Ticks covered by the ring; later events start in the far heap.
+    const HORIZON: Tick = BUCKET_TICKS * NUM_BUCKETS as u64;
 
     #[test]
     fn drains_in_when_seq_order() {
@@ -372,14 +372,13 @@ mod tests {
     #[test]
     fn far_events_cross_the_horizon_correctly() {
         let mut q = EventQueue::new();
-        let horizon = BUCKET_TICKS * NUM_BUCKETS as u64;
-        q.push(horizon * 3 + 17, 0, "far");
+        q.push(HORIZON * 3 + 17, 0, "far");
         q.push(5, 1, "near");
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_when(), Some(5));
         assert_eq!(q.pop(), Some((5, 1, "near")));
         // The window jumps to the far event's bucket via the far heap.
-        assert_eq!(q.pop(), Some((horizon * 3 + 17, 0, "far")));
+        assert_eq!(q.pop(), Some((HORIZON * 3 + 17, 0, "far")));
         assert!(q.is_empty());
     }
 
@@ -400,10 +399,9 @@ mod tests {
     #[test]
     fn window_slide_migrates_each_far_event_once() {
         let mut q = EventQueue::new();
-        let horizon = BUCKET_TICKS * NUM_BUCKETS as u64;
         // A train of events, one per horizon, plus near fillers.
         for i in 0..8u64 {
-            q.push(i * horizon + 9, i, i);
+            q.push(i * HORIZON + 9, i, i);
         }
         let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, s, _)| s).collect();
         assert_eq!(popped, (0..8).collect::<Vec<_>>());
@@ -449,22 +447,50 @@ mod tests {
     #[test]
     fn drain_all_empties_and_rewinds_the_window() {
         let mut q = EventQueue::new();
-        let horizon = BUCKET_TICKS * NUM_BUCKETS as u64;
         q.push(40, 0, "near");
-        q.push(horizon * 2, 1, "far");
+        q.push(HORIZON * 2, 1, "far");
         // Advance the window past tick 40 before draining.
         assert_eq!(q.pop(), Some((40, 0, "near")));
-        q.push(horizon * 2 + 1, 2, "far2");
+        q.push(HORIZON * 2 + 1, 2, "far2");
         let mut drained = q.drain_all();
         drained.sort_by_key(|&(w, s, _)| (w, s));
         assert_eq!(
             drained,
-            vec![(horizon * 2, 1, "far"), (horizon * 2 + 1, 2, "far2")]
+            vec![(HORIZON * 2, 1, "far"), (HORIZON * 2 + 1, 2, "far2")]
         );
-        assert!(q.is_empty());
+        assert!(q.is_empty() && q.nodes.is_empty());
         // The rewound window accepts pushes earlier than the old cursor.
         q.push(5, 3, "early");
         assert_eq!(q.pop(), Some((5, 3, "early")));
         assert_eq!(q.peak_len(), 2);
+    }
+
+    #[test]
+    fn slab_never_grows_past_peak_len_in_steady_state() {
+        let mut q = EventQueue::new();
+        for seq in 0..40 {
+            q.push(seq * 97, seq, seq);
+        }
+        // Each pop is followed by one push a pseudo-random near delay
+        // ahead (every 1,000th a far timer), so 40 events stay queued
+        // while nodes are freed and reused 200k times.
+        let mut x = 1u64;
+        for seq in 40..200_000u64 {
+            let (when, _, _) = q.pop().unwrap();
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let delay = if seq % 1_000 == 0 {
+                3 * HORIZON
+            } else {
+                (x >> 33) % 20_000
+            };
+            q.push(when + delay, seq, seq);
+            assert!(q.nodes.len() <= q.peak_len());
+        }
+        assert_eq!(q.peak_len(), 40);
+    }
+
+    #[test]
+    fn a_kernel_event_node_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Node<crate::kernel::Ev>>(), 48);
     }
 }

@@ -4,9 +4,11 @@ use gem5_accesys::accesys::analytic::{PhaseTimes, ThresholdModel};
 use gem5_accesys::accesys::{Simulation, SystemConfig};
 use gem5_accesys::dma::{DmaDescriptor, DmaDone, DmaEngine, DmaEngineConfig};
 use gem5_accesys::mem::{SimpleMemory, SimpleMemoryConfig};
-use gem5_accesys::sim::{Ctx, Kernel, Module, Msg, Tick};
+use gem5_accesys::sim::{Ctx, EventQueue, Kernel, Module, Msg, Tick};
 use gem5_accesys::workload::GemmSpec;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Records delivery times of timer messages.
 struct Recorder {
@@ -45,6 +47,44 @@ proptest! {
                 prop_assert!(pair[0].1 < pair[1].1, "tie broke schedule order");
             }
         }
+    }
+
+    /// The kernel's two-level event queue drains in exactly a binary
+    /// min-heap's `(when, seq)` order. Each step, decoded from one random
+    /// word, pops up to `n` events (kind 0) or pushes `n`: a same-tick
+    /// burst (1), keys out of order within one calendar bucket (2), near
+    /// sends (3), or far events past the ring's ≈1 µs horizon that
+    /// migrate in as time advances (4).
+    #[test]
+    fn event_queue_drains_like_a_binary_heap(steps in prop::collection::vec(any::<u32>(), 1..120)) {
+        let mut queue = EventQueue::new();
+        let mut heap = BinaryHeap::new();
+        let (mut now, mut seq) = (0, 0u64);
+        for step in steps.iter().map(|&s| u64::from(s)) {
+            let (kind, x, n) = (step % 5, step / 5 % 600, 1 + step / 3_000 % 11);
+            for j in 0..n {
+                if kind == 0 {
+                    prop_assert_eq!(queue.peek_when(), heap.peek().map(|&Reverse((w, _))| w));
+                    let popped = queue.pop().map(|(w, s, ())| (w, s));
+                    prop_assert_eq!(popped, heap.pop().map(|Reverse(e)| e));
+                    now = popped.map_or(now, |(w, _)| w);
+                    continue;
+                }
+                let when = now + match kind {
+                    1 => x,
+                    2 => x + j * 5 % 11,
+                    3 => x * 1_000,
+                    _ => (1 << 20) + x * 50_000 + j % 2,
+                };
+                queue.push(when, seq, ());
+                heap.push(Reverse((when, seq)));
+                seq += 1;
+            }
+        }
+        while let Some(Reverse(expected)) = heap.pop() {
+            prop_assert_eq!(queue.pop().map(|(w, s, ())| (w, s)), Some(expected));
+        }
+        prop_assert!(queue.is_empty());
     }
 
     /// DMA segmentation is exact: request count and byte totals match
