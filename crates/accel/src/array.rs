@@ -3,7 +3,7 @@
 use accesys_sim::{units, Tick};
 
 /// Configuration of a [`SystolicArray`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct SystolicConfig {
     /// Rows of MAC units (MatrixFlow: 16).
     pub rows: u32,

@@ -6,7 +6,7 @@ use accesys_sim::{units, Ctx, MemCmd, Module, ModuleId, Msg, Packet, Stats, Tick
 use std::collections::VecDeque;
 
 /// Configuration of an [`AccelController`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct AccelControllerConfig {
     /// The systolic array timing model.
     pub array: SystolicConfig,
@@ -73,7 +73,7 @@ impl AccelControllerConfig {
 }
 
 /// Completion record of one accelerator job.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct JobRecord {
     /// Job cookie.
     pub cookie: u64,

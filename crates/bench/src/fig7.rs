@@ -15,7 +15,7 @@ use accesys_mem::MemTech;
 use accesys_workload::VitModel;
 
 /// The four systems of Section V-C.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, serde::Serialize)]
 pub enum SystemKind {
     /// Host memory, 2 GB/s PCIe, DDR4, 256 B packets.
     Pcie2,

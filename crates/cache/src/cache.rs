@@ -6,7 +6,7 @@ use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Geometry and timing of a [`Cache`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

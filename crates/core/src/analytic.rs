@@ -9,7 +9,7 @@
 
 /// Measured phase times of one system configuration, in nanoseconds,
 /// for a reference workload.
-#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize)]
 pub struct PhaseTimes {
     /// Time the reference workload spends in GEMM work on this system.
     pub gemm_ns: f64,
@@ -19,7 +19,7 @@ pub struct PhaseTimes {
 
 /// The Section V-D workload-composition model comparing a PCIe
 /// (host-memory) system against a DevMem system.
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct ThresholdModel {
     /// Host/PCIe system phase times.
     pub pcie: PhaseTimes,
@@ -83,7 +83,7 @@ impl ThresholdModel {
 
 /// A point of the Fig. 2 roofline: normalized execution time as a
 /// function of per-tile compute time.
-#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize)]
 pub struct RooflinePoint {
     /// Systolic-array compute time per output tile, in nanoseconds.
     pub compute_ns: f64,

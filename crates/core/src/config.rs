@@ -13,7 +13,7 @@ use accesys_mem::{MemTech, SimpleMemoryConfig};
 use accesys_smmu::SmmuConfig;
 
 /// How accelerator traffic reaches host memory (Section III-C).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub enum AccessMode {
     /// Direct-cache: accelerator requests traverse the IOCache and the
     /// coherent LLC before memory (the mode used by the evaluation).
@@ -29,9 +29,7 @@ pub enum AccessMode {
 /// reproduction's extension of the same framework to the next standard
 /// interconnect (fixed 68 B flits, no switch hop, low-latency host
 /// bridge).
-#[derive(
-    Copy, Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize)]
 pub enum InterconnectKind {
     /// PCIe hierarchy: root complex → switch → endpoint (default).
     #[default]
@@ -41,7 +39,7 @@ pub enum InterconnectKind {
 }
 
 /// Where the accelerator's working set lives.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub enum MemoryLocation {
     /// Host DRAM, reached over PCIe.
     Host,
@@ -51,7 +49,7 @@ pub enum MemoryLocation {
 }
 
 /// Host or device memory backend.
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub enum MemBackendConfig {
     /// gem5's default fixed-latency/bandwidth model (Fig. 6 sweeps).
     Simple(SimpleMemoryConfig),
@@ -70,7 +68,7 @@ impl MemBackendConfig {
 }
 
 /// The PCIe hierarchy configuration (both link directions share it).
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct PcieConfig {
     /// Link (lanes × rate × encoding, credits, header overhead).
     pub link: PcieLinkConfig,
@@ -122,7 +120,7 @@ impl PcieConfig {
 /// assert!((cfg.pcie.bandwidth_gbps() - 2.0).abs() < 1e-9);
 /// cfg.validate().expect("baseline is valid");
 /// ```
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct SystemConfig {
     /// CPU cluster.
     pub cpu: CpuConfig,
@@ -340,14 +338,5 @@ mod tests {
             let cfg = SystemConfig::pcie_host(target, MemTech::Ddr4);
             assert!((cfg.pcie.bandwidth_gbps() - target).abs() / target < 1e-9);
         }
-    }
-
-    #[test]
-    fn config_round_trips_through_serde() {
-        let cfg = SystemConfig::paper_baseline();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SystemConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.l1d.size_bytes, cfg.l1d.size_bytes);
-        assert!((back.pcie.bandwidth_gbps() - cfg.pcie.bandwidth_gbps()).abs() < 1e-12);
     }
 }

@@ -3,7 +3,7 @@
 use accesys_sim::{streams, units, Ctx, MemCmd, Module, ModuleId, Msg, Packet, Stats, Tick};
 
 /// Configuration of a [`CpuComplex`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct CpuConfig {
     /// Core clock in GHz (paper Table II: 1 GHz ARM).
     pub freq_ghz: f64,

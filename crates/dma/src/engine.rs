@@ -4,7 +4,7 @@ use accesys_sim::{streams, units, Ctx, MemCmd, Module, ModuleId, Msg, Packet, St
 use std::collections::VecDeque;
 
 /// Configuration of a [`DmaEngine`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct DmaEngineConfig {
     /// Number of independent channels.
     pub channels: u32,

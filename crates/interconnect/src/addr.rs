@@ -10,7 +10,7 @@
 /// assert!(r.contains(0x1fff));
 /// assert!(!r.contains(0x2000));
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub struct AddrRange {
     /// First address in the range.
     pub base: u64,

@@ -7,7 +7,7 @@ use accesys_sim::{
 use std::collections::VecDeque;
 
 /// Configuration of a [`PcieEndpoint`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct PcieEndpointConfig {
     /// Maximum outstanding non-posted (read) requests.
     pub tags: u32,

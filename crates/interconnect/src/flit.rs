@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 /// PCIe links pool credits in wire bytes (header + payload); flit links
 /// pool them in flits. A receiver wired behind a [`FlitLink`] must return
 /// flit-unit credits or the pool drifts.
-#[derive(Copy, Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub enum CreditUnit {
     /// PCIe TLP wire bytes with a 24-byte header (default).
     #[default]
@@ -47,7 +47,7 @@ impl CreditUnit {
 }
 
 /// Configuration of one [`FlitLink`] direction.
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct FlitLinkConfig {
     /// Number of lanes.
     pub lanes: u32,

@@ -4,7 +4,7 @@ use accesys_sim::{units, CreditClass, Ctx, MemCmd, Module, ModuleId, Msg, Packet
 use std::collections::VecDeque;
 
 /// Configuration of one [`PcieLink`] direction.
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct PcieLinkConfig {
     /// Number of lanes (paper sweeps 2, 4, 8, 16).
     pub lanes: u32,

@@ -13,7 +13,7 @@
 /// let link = PcieLinkConfig::gen(PcieGen::Gen3, 16);
 /// assert!((link.bandwidth_gbps() - 15.75).abs() < 0.01);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub enum PcieGen {
     /// PCIe 1.x: 2.5 GT/s, 8b/10b.
     Gen1,

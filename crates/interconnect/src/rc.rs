@@ -4,7 +4,7 @@ use crate::AddrRange;
 use accesys_sim::{units, Ctx, Module, ModuleId, Msg, Packet, Stats, Tick};
 
 /// Configuration of a [`RootComplex`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct RootComplexConfig {
     /// Bridge latency per TLP in nanoseconds (paper Table II: 150 ns).
     pub latency_ns: f64,

@@ -59,7 +59,7 @@ pub fn aggregate_ranges(mut ranges: Vec<AddrRange>) -> Vec<AddrRange> {
 }
 
 /// Configuration of a [`PcieSwitch`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct PcieSwitchConfig {
     /// Store-and-forward latency per TLP in nanoseconds (paper: 50 ns).
     pub latency_ns: f64,

@@ -4,7 +4,7 @@ use crate::AddrRange;
 use accesys_sim::{units, Ctx, Module, ModuleId, Msg, Stats, Tick};
 
 /// Configuration of an [`Xbar`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct XbarConfig {
     /// Bus width in bytes per clock.
     pub width_bytes: u32,

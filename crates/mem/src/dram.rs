@@ -11,9 +11,7 @@ use std::collections::VecDeque;
 /// files, DRAMsim3's address scheme strings); the choice decides whether
 /// a streaming accelerator sees channel parallelism, bank parallelism or
 /// row locality first.
-#[derive(
-    Copy, Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize)]
 pub enum AddressMapping {
     /// Channel interleaved per 64 B line, bank switched per row
     /// (default): streams hit every channel and stay in one row per bank.
@@ -28,9 +26,7 @@ pub enum AddressMapping {
 }
 
 /// Row-buffer management policy.
-#[derive(
-    Copy, Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, serde::Serialize)]
 pub enum PagePolicy {
     /// Keep the row open after an access (bets on locality; default).
     #[default]
@@ -41,7 +37,7 @@ pub enum PagePolicy {
 }
 
 /// Core DRAM timing parameters, in command-clock cycles unless noted.
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct DramTiming {
     /// Command clock period in picoseconds (data rate is 2× this clock).
     pub tck_ps: u64,
@@ -77,7 +73,7 @@ impl DramTiming {
 }
 
 /// Configuration of a [`Dram`] device + controller.
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct DramConfig {
     /// Timing parameters.
     pub timing: DramTiming,

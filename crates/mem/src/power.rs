@@ -18,7 +18,7 @@
 /// // HBM moves bits far more efficiently than DDR3.
 /// assert!(hbm.pj_per_bit < ddr3.pj_per_bit / 2.0);
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, serde::Serialize)]
 pub struct DramPower {
     /// Energy of one ACT + PRE pair, in picojoules.
     pub act_pre_pj: f64,

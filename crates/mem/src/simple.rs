@@ -3,7 +3,7 @@
 use accesys_sim::{units, Ctx, MemCmd, Module, Msg, Stats, Tick};
 
 /// Configuration for [`SimpleMemory`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct SimpleMemoryConfig {
     /// Flat access latency in nanoseconds (applied after serialization).
     pub latency_ns: f64,

@@ -12,7 +12,7 @@ use crate::{AddressMapping, DramConfig, DramPower, DramTiming, PagePolicy};
 /// assert_eq!(MemTech::Ddr4.bandwidth_gbps(), 19.2);
 /// assert_eq!(MemTech::Hbm2.channels(), 2);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub enum MemTech {
     /// DDR3-1600: 1 channel × 64 bit, 12.8 GB/s.
     Ddr3,

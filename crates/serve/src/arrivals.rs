@@ -16,84 +16,12 @@ use rand::{Rng, SeedableRng};
 /// One request arrival: when it enters the system and which tenant it
 /// belongs to. Times are virtual nanoseconds on the serving clock
 /// (which tiles the simulation's kernel clock across batching rounds).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, serde::Serialize)]
 pub struct Arrival {
     /// Arrival time in virtual nanoseconds.
     pub at_ns: u64,
     /// Tenant index (dense from 0; policies key on it).
     pub tenant: u32,
-}
-
-/// A malformed arrival trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The JSON did not parse as a list of arrivals.
-    Parse(String),
-    /// Arrival `index` (in file order) names a tenant id at or past
-    /// [`crate::MAX_TENANTS`].
-    Tenant {
-        /// Position of the arrival in the JSON list.
-        index: usize,
-        /// The out-of-range tenant id.
-        tenant: u32,
-    },
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Parse(msg) => write!(f, "arrival trace did not parse: {msg}"),
-            TraceError::Tenant { index, tenant } => write!(
-                f,
-                "arrival {index}: tenant {tenant} is out of range (ids must be below {})",
-                crate::MAX_TENANTS
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Parse a JSON arrival trace — a list of `{"at_ns": …, "tenant": …}`
-/// objects — into a time-sorted arrival vector (the sort is stable, so
-/// equal-tick arrivals keep their file order).
-///
-/// ```
-/// use accesys_serve::arrivals::trace_from_json;
-///
-/// let trace = r#"[
-///     {"at_ns": 500, "tenant": 1},
-///     {"at_ns": 0,   "tenant": 0}
-/// ]"#;
-/// let arrivals = trace_from_json(trace).unwrap();
-/// assert_eq!(arrivals.len(), 2);
-/// assert_eq!(arrivals[0].at_ns, 0);
-/// assert_eq!(arrivals[1].tenant, 1);
-/// assert!(trace_from_json("not json").is_err());
-/// // Tenant ids are bounded by `MAX_TENANTS`.
-/// assert!(trace_from_json(r#"[{"at_ns": 0, "tenant": 1024}]"#).is_err());
-/// ```
-///
-/// # Errors
-///
-/// Returns [`TraceError::Parse`] when the input is not a JSON list of
-/// arrival objects, and [`TraceError::Tenant`] when an arrival's tenant
-/// id is not below [`crate::MAX_TENANTS`].
-pub fn trace_from_json(json: &str) -> Result<Vec<Arrival>, TraceError> {
-    let mut arrivals: Vec<Arrival> =
-        serde_json::from_str(json).map_err(|e| TraceError::Parse(format!("{e:?}")))?;
-    if let Some((index, a)) = arrivals
-        .iter()
-        .enumerate()
-        .find(|(_, a)| a.tenant >= crate::MAX_TENANTS)
-    {
-        return Err(TraceError::Tenant {
-            index,
-            tenant: a.tenant,
-        });
-    }
-    arrivals.sort_by_key(|a| a.at_ns);
-    Ok(arrivals)
 }
 
 /// A generator of open-loop request traffic. Construct one, then call
@@ -139,8 +67,10 @@ pub enum ArrivalSpec {
         /// PRNG seed.
         seed: u64,
     },
-    /// Replay a recorded trace verbatim (see [`trace_from_json`]);
-    /// arrivals past the horizon are dropped at generation.
+    /// Replay a recorded trace verbatim; arrivals past the horizon are
+    /// dropped at generation. Specs give one with `traffic.process =
+    /// "trace"`, whose loader rejects unsorted times and tenant ids at
+    /// or past [`crate::MAX_TENANTS`].
     Trace(
         /// The arrivals to replay (sorted by [`Arrival::at_ns`]).
         Vec<Arrival>,
@@ -290,7 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_sorts_and_clips() {
+    fn trace_replay_clips_at_the_horizon() {
         let spec = ArrivalSpec::Trace(vec![
             Arrival {
                 at_ns: 900,
@@ -305,32 +235,9 @@ mod tests {
                 tenant: 0,
             },
         ]);
-        // Trace is replayed as given (the JSON loader sorts); only the
-        // horizon clip applies here.
+        // Trace is replayed as given (the spec loader rejects unsorted
+        // times); only the horizon clip applies here.
         let a = spec.generate(1000);
         assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let json = r#"[{"at_ns": 10, "tenant": 0}, {"at_ns": 5, "tenant": 1}]"#;
-        let a = trace_from_json(json).unwrap();
-        assert_eq!(
-            a,
-            vec![
-                Arrival {
-                    at_ns: 5,
-                    tenant: 1
-                },
-                Arrival {
-                    at_ns: 10,
-                    tenant: 0
-                },
-            ]
-        );
-        assert!(matches!(
-            trace_from_json("[1, 2"),
-            Err(TraceError::Parse(_))
-        ));
     }
 }

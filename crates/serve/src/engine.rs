@@ -52,7 +52,7 @@ use accesys_workload::Op;
 /// What one request costs: an encoder of `slices` layers at a fixed
 /// geometry. Slices are the batching quantum — a request occupies its
 /// batch slot for `slices` rounds.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, serde::Serialize)]
 pub struct RequestShape {
     /// Sequence length of each encoder layer.
     pub seq: u32,

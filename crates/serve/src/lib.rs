@@ -72,7 +72,7 @@ pub mod llm;
 pub mod policy;
 pub mod queue;
 
-pub use arrivals::{trace_from_json, Arrival, ArrivalSpec, TraceError};
+pub use arrivals::{Arrival, ArrivalSpec};
 pub use engine::{
     serve, serve_traced, Completion, LatencySummary, RequestShape, ServeConfig, ServeReport,
     TenantReport,
@@ -85,7 +85,7 @@ pub use queue::{AdmissionQueue, Queued, Rejected};
 
 /// The most tenants one run may name: tenant ids are `0..MAX_TENANTS`.
 /// The engines keep per-tenant state (a latency histogram each) indexed
-/// by id, so the spec loader, [`trace_from_json`] and the fleet spec
-/// reject larger counts and ids with a typed error instead of
-/// allocating for them.
+/// by id, so the spec loader (tenant counts and `process = "trace"`
+/// ids) and the fleet spec reject larger counts and ids with a typed
+/// error instead of allocating for them.
 pub const MAX_TENANTS: u32 = 1024;

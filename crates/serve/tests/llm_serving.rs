@@ -1,14 +1,12 @@
 //! Integration tests for the LLM serving engine: slot reuse at mixed
 //! admission/retirement rounds, whole-batch EOS drains, KV-budget
 //! entry errors, and byte-identical trace replay of a mixed
-//! prefill/decode arrival file.
+//! prefill/decode arrival trace.
 
 use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
 use accesys_mem::MemTech;
-use accesys_serve::{
-    serve_llm, trace_from_json, Arrival, LlmRequestShape, LlmServeConfig, LlmServeError, Policy,
-};
+use accesys_serve::{serve_llm, Arrival, LlmRequestShape, LlmServeConfig, LlmServeError, Policy};
 use accesys_workload::llm::LlmSpec;
 
 /// A compute-dominated two-leaf tree with per-device local memory —
@@ -186,18 +184,19 @@ fn tight_budgets_surface_eviction_traffic() {
 
 #[test]
 fn mixed_trace_replay_is_byte_identical() {
-    // A recorded mixed-tenant arrival file served twice on fresh
+    // A recorded mixed-tenant arrival trace served twice on fresh
     // simulations must produce byte-identical reports — the whole
     // prefill/decode/KV pipeline is deterministic.
-    let trace = r#"[
-        {"at_ns": 0,      "tenant": 0},
-        {"at_ns": 40000,  "tenant": 1},
-        {"at_ns": 40000,  "tenant": 0},
-        {"at_ns": 900000, "tenant": 1},
-        {"at_ns": 900001, "tenant": 0},
-        {"at_ns": 900002, "tenant": 1}
-    ]"#;
-    let arrivals = trace_from_json(trace).expect("valid trace");
+    let arrivals = [
+        (0, 0),
+        (40_000, 1),
+        (40_000, 0),
+        (900_000, 1),
+        (900_001, 0),
+        (900_002, 1),
+    ]
+    .map(|(at_ns, tenant)| Arrival { at_ns, tenant })
+    .to_vec();
     let s = shape(3);
     let cfg = LlmServeConfig::new(2, 8, s.max_kv_bytes() * 2).with_slo_ns(5e6);
     let runs: Vec<String> = (0..2)

@@ -7,7 +7,7 @@ use accesys_sim::{
 use std::collections::VecDeque;
 
 /// Configuration of an [`Smmu`].
-#[derive(Copy, Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct SmmuConfig {
     /// µTLB capacity in entries (fully associative, LRU).
     pub tlb_entries: u32,
@@ -47,7 +47,7 @@ impl Default for SmmuConfig {
 }
 
 /// Aggregated SMMU statistics (the rows of the paper's Table IV).
-#[derive(Copy, Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct SmmuStats {
     /// Number of completed translations.
     pub translations: u64,

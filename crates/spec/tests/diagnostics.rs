@@ -408,6 +408,21 @@ fn an_out_of_range_trace_tenant_is_rejected_not_overflowed() {
 }
 
 #[test]
+fn an_unsorted_trace_is_rejected_not_replayed_out_of_order() {
+    let text = SERVING.replace(
+        POISSON_TRAFFIC,
+        "process = \"trace\"\nat_ns = [1000, 0]\ntenant = [0, 1]",
+    );
+    let line = line_of(&text, "at_ns = [");
+    expect_diag(
+        &text,
+        "at_ns = [",
+        Some("traffic.at_ns"),
+        &format!("line {line}: `traffic.at_ns` must be sorted by arrival time"),
+    );
+}
+
+#[test]
 fn a_tenant_count_past_the_cap_is_rejected() {
     let text = SERVING.replace(
         POISSON_TRAFFIC,

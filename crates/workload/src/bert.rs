@@ -9,7 +9,7 @@
 use crate::{Op, OpKind, VitModel};
 
 /// BERT variants (Devlin et al., NAACL 2019).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub enum BertModel {
     /// BERT-Base: 12 layers, hidden 768, 12 heads.
     Base,

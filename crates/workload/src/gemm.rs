@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 /// // Table IV: 1024 → 3072 pages of footprint.
 /// assert_eq!(spec.footprint_pages(4096), 3072);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub struct GemmSpec {
     /// Output rows.
     pub m: u32,

@@ -4,7 +4,7 @@ use crate::GemmSpec;
 
 /// The ViT variants the paper evaluates (hidden dimensions 768, 1024 and
 /// 1280; 12 or 16 attention heads).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub enum VitModel {
     /// ViT-Base: 12 layers, hidden 768, 12 heads.
     Base,
@@ -110,7 +110,7 @@ impl std::fmt::Display for VitModel {
 }
 
 /// Operator class: GEMM runs on the accelerator, the rest on the CPU.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
 pub enum OpKind {
     /// Matrix multiplication (offloaded).
     Gemm,
@@ -132,7 +132,7 @@ impl OpKind {
 }
 
 /// One operator instance of the inference graph.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, serde::Serialize)]
 pub struct Op {
     /// Human-readable name ("qkv", "softmax", ...).
     pub name: String,
