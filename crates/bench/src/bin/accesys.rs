@@ -14,12 +14,12 @@
 //! `--json`; per-experiment wall time on stderr).
 //!
 //! `run` loads a scenario file through the staged loader (parse →
-//! resolve → validate), dispatches it to the driver of its kind, and
-//! prints the same table (or `--json` document) as `accesys exp` for
-//! that experiment family. A bare name (`paper_baseline`) resolves
-//! against the committed library embedded in the binary, so `accesys
-//! exp fig2`'s spec spelling is `accesys run paper_baseline` from any
-//! directory.
+//! resolve → validate) and hands it to [`accesys_bench::run_spec`], the
+//! driver dispatch on its kind. `exp` runs its spec-backed experiments
+//! through the same call, so a bare name (`paper_baseline`), resolved
+//! against the committed library embedded in the binary, makes `accesys
+//! run paper_baseline` print exactly what `accesys exp fig2` prints,
+//! from any directory.
 //!
 //! `validate` loads every named file, dry-builds its topologies and
 //! traffic at both scales without running a sweep, and reports one
@@ -30,7 +30,7 @@
 //! with its line and field — never a panic.
 
 use accesys_bench::specs::LIBRARY;
-use accesys_bench::{decode, fig2, fleet, graph, serve, topo, Scale, EXPERIMENTS};
+use accesys_bench::{run_spec, Scale, EXPERIMENTS};
 use accesys_exp::cli::{self, Cli, CliError};
 use accesys_spec::{Scenario, Spec, SpecError};
 use std::time::Instant;
@@ -143,8 +143,8 @@ fn cmd_exp(args: &[String]) -> i32 {
     };
     let value = if name == "all" {
         run_all(&cli)
-    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) {
-        run(&cli)
+    } else if let Some((_, source)) = EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+        source.run(&cli)
     } else {
         let valid: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
         eprintln!(
@@ -174,7 +174,7 @@ fn run_all(cli: &Cli) -> serde::Value {
     eprintln!("# jobs: {}", cli.jobs);
     let start = Instant::now();
     let mut combined = Vec::new();
-    for (i, (name, run)) in EXPERIMENTS.iter().enumerate() {
+    for (i, (name, source)) in EXPERIMENTS.iter().enumerate() {
         if !cli.json {
             if i > 0 {
                 println!();
@@ -184,7 +184,7 @@ fn run_all(cli: &Cli) -> serde::Value {
             }
         }
         let t0 = Instant::now();
-        combined.push((name.to_string(), run(cli)));
+        combined.push((name.to_string(), source.run(cli)));
         eprintln!("# {name}: total {:.2}s", t0.elapsed().as_secs_f64());
     }
     eprintln!(
@@ -215,14 +215,7 @@ fn cmd_run(args: &[String]) -> i32 {
         eprintln!("accesys run: {name}: {err}");
         return 1;
     }
-    let value = match &spec.scenario {
-        Scenario::Roofline(sc) => fig2::run_cli_for(sc, &cli),
-        Scenario::Topo(sc) => topo::run_cli_for(sc, &cli),
-        Scenario::Pipeline(sc) => graph::run_cli_for(sc, &cli),
-        Scenario::Serving(sc) => serve::run_cli_for(sc, &cli),
-        Scenario::Decode(sc) => decode::run_cli_for(sc, &cli),
-        Scenario::Fleet(sc) => fleet::run_cli_for(sc, &cli),
-    };
+    let value = run_spec(&spec, &cli);
     if cli.json {
         cli::emit_json(&value);
     }

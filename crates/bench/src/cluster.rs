@@ -12,7 +12,7 @@ use crate::cli::Cli;
 use crate::Scale;
 use accesys::topology::switch_tree;
 use accesys::{Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
 use accesys_workload::GemmSpec;
 
@@ -63,11 +63,6 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = u32, Out = ClusterRow
     })
 }
 
-/// Run the scaling sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<ClusterRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -107,10 +102,11 @@ pub fn print(rows: &[ClusterRow], scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accesys_exp::Jobs;
 
     #[test]
     fn compute_bound_scaling_is_near_linear_to_four() {
-        let rows = run_jobs(Scale::Quick, Jobs::serial());
+        let rows = experiment(Scale::Quick).run(Jobs::serial()).into_outputs();
         let r1 = rows.iter().find(|r| r.accels == 1).unwrap();
         let r4 = rows.iter().find(|r| r.accels == 4).unwrap();
         let speedup = r1.compute_bound_ns / r4.compute_bound_ns;
@@ -119,7 +115,7 @@ mod tests {
 
     #[test]
     fn transfer_bound_scaling_saturates() {
-        let rows = run_jobs(Scale::Quick, Jobs::serial());
+        let rows = experiment(Scale::Quick).run(Jobs::serial()).into_outputs();
         let r1 = rows.iter().find(|r| r.accels == 1).unwrap();
         let r8 = rows.iter().find(|r| r.accels == 8).unwrap();
         let speedup = r1.transfer_bound_ns / r8.transfer_bound_ns;

@@ -12,7 +12,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
 use accesys_workload::GemmSpec;
 
@@ -58,11 +58,6 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = u32, Out = CxlRow> {
     })
 }
 
-/// Run the comparison on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<CxlRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
 /// Run at the CLI's settings; print the table unless `--json`; return
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
@@ -103,10 +98,11 @@ pub fn print(rows: &[CxlRow]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accesys_exp::Jobs;
 
     #[test]
     fn cxl_gain_shrinks_as_jobs_grow_bandwidth_bound() {
-        let rows = run_jobs(Scale::Quick, Jobs::serial());
+        let rows = experiment(Scale::Quick).run(Jobs::serial()).into_outputs();
         let gain = |r: &CxlRow| r.pcie_equal_ns / r.cxl_ns;
         let first = gain(&rows[0]);
         let last = gain(rows.last().unwrap());

@@ -25,15 +25,10 @@
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
-use crate::{specs, Scale};
-use accesys_exp::{Experiment, Grid, Jobs};
+use crate::Scale;
+use accesys_exp::{Experiment, Grid};
 use accesys_serve::{serve_llm, LlmServeConfig, LlmServeReport};
 use accesys_spec::DecodeScenario;
-
-/// The committed scenario this sweep lowers from.
-pub fn scenario() -> &'static DecodeScenario {
-    specs::decode()
-}
 
 /// One decode-serving measurement: one arrival rate on one tree shape
 /// under one KV budget.
@@ -111,13 +106,8 @@ fn serve_once(
     .expect("decode serving completes")
 }
 
-/// Measure one (rate, shape, budget) point: batched vs sequential.
-pub fn measure(rate: f64, shape: &str, budget: &str, scale: Scale) -> DecodeRow {
-    measure_for(scenario(), rate, shape, budget, scale)
-}
-
-/// Measure one (rate, shape, budget) point of an arbitrary decode
-/// scenario.
+/// Measure one (rate, shape, budget) point of `sc`: batched vs
+/// sequential.
 pub fn measure_for(
     sc: &DecodeScenario,
     rate: f64,
@@ -167,13 +157,7 @@ pub fn measure_for(
     }
 }
 
-/// The sweep as a declarative experiment: rate × shape × budget,
-/// row-major.
-pub fn experiment(scale: Scale) -> impl Experiment<Point = (f64, String, String), Out = DecodeRow> {
-    experiment_for(scenario(), scale)
-}
-
-/// `sc` as a declarative experiment (the `accesys run` entry point).
+/// `sc` as a declarative experiment: rate × shape × budget, row-major.
 pub fn experiment_for(
     sc: &DecodeScenario,
     scale: Scale,
@@ -188,18 +172,8 @@ pub fn experiment_for(
     .sweep(move |(rate, shape, budget)| measure_for(&sc, *rate, shape, budget, scale))
 }
 
-/// Run the sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<DecodeRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run at the CLI's settings; print the table unless `--json`; return
-/// the machine-readable sweep value.
-pub fn run_cli(cli: &Cli) -> serde::Value {
-    run_cli_for(scenario(), cli)
-}
-
-/// [`run_cli`] against an arbitrary loaded scenario.
+/// Run `sc` at the CLI's settings; print the table unless `--json`;
+/// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &DecodeScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
         print_for(
@@ -265,14 +239,22 @@ pub fn print_for(sc: &DecodeScenario, rows: &[DecodeRow], _scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accesys_exp::Jobs;
+
+    fn scenario() -> DecodeScenario {
+        match crate::specs::load("llm_decode").scenario {
+            accesys_spec::Scenario::Decode(sc) => sc,
+            _ => unreachable!(),
+        }
+    }
 
     #[test]
     fn saturation_goodput_beats_sequential_by_2x_on_a_four_leaf_tree() {
         // The acceptance bar: at the top swept rate on the four-leaf
         // tree with an ample budget, batched decode goodput must be at
         // least twice the one-request-at-a-time engine's.
-        let rate = scenario().rates[2];
-        let row = measure(rate, "2x2", "ample", Scale::Quick);
+        let sc = scenario();
+        let row = measure_for(&sc, sc.rates[2], "2x2", "ample", Scale::Quick);
         assert_eq!(row.endpoints, 4);
         assert!(row.peak_batch > 1, "batching never engaged: {row:?}");
         assert!(
@@ -288,19 +270,19 @@ mod tests {
         // The second acceptance shape: a constrained-KV point must show
         // observable eviction traffic in the report — and still finish
         // everything it admitted.
-        let rate = scenario().rates[2];
-        let row = measure(rate, "2x2", "tight", Scale::Quick);
+        let sc = scenario();
+        let row = measure_for(&sc, sc.rates[2], "2x2", "tight", Scale::Quick);
         assert!(row.kv_evictions > 0, "tight budget never evicted: {row:?}");
         assert!(row.kv_evicted_bytes > 0);
         assert!(row.kv_transfer_tasks >= row.kv_evictions);
-        let ample = measure(rate, "2x2", "ample", Scale::Quick);
+        let ample = measure_for(&sc, sc.rates[2], "2x2", "ample", Scale::Quick);
         assert_eq!(ample.kv_evictions, 0, "ample budget must not evict");
     }
 
     #[test]
     fn below_saturation_everything_is_served_either_way() {
-        let rate = scenario().rates[0];
-        let row = measure(rate, "2", "ample", Scale::Quick);
+        let sc = scenario();
+        let row = measure_for(&sc, sc.rates[0], "2", "ample", Scale::Quick);
         assert_eq!(row.rejected, 0, "no load shedding below saturation");
         assert_eq!(row.admitted, row.offered);
         assert!(
@@ -312,15 +294,12 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_worker_counts() {
-        let a = run_jobs(Scale::Quick, Jobs::serial());
-        let b = run_jobs(Scale::Quick, Jobs::new(4));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.shape, y.shape);
-            assert_eq!(x.budget, y.budget);
-            assert_eq!(x.p99_ns.to_bits(), y.p99_ns.to_bits());
-            assert_eq!(x.goodput_rps.to_bits(), y.goodput_rps.to_bits());
-            assert_eq!(x.kv_evicted_bytes, y.kv_evicted_bytes);
-        }
+        // One rate on a depth-2 tree under both KV budgets; the full
+        // grid is pinned by the `exp all` golden at jobs 1 and 4.
+        let mut small = scenario();
+        small.rates = vec![small.rates[1]];
+        small.shapes = vec!["2x2".to_string()];
+        let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs).to_json();
+        assert_eq!(run(Jobs::serial()).unwrap(), run(Jobs::new(4)).unwrap());
     }
 }

@@ -10,7 +10,7 @@
 use crate::cli::Cli;
 use crate::Scale;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_mem::{AddressMapping, MemTech, PagePolicy};
 use accesys_workload::GemmSpec;
 
@@ -55,11 +55,6 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = MemTech, Out = Energy
             pj_per_byte: report.dram_pj_per_byte(),
         }
     })
-}
-
-/// Run the per-technology energy sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<EnergyRow> {
-    experiment(scale).run(jobs).into_outputs()
 }
 
 /// One page-policy × address-mapping ablation cell.
@@ -111,11 +106,6 @@ pub fn policy_experiment(
             row_hits: report.stats.get_or_zero("host_mem.row_hits"),
         }
     })
-}
-
-/// Run the controller-policy ablation on `jobs` workers.
-pub fn run_policies_jobs(scale: Scale, jobs: Jobs) -> Vec<PolicyRow> {
-    policy_experiment(scale).run(jobs).into_outputs()
 }
 
 /// Run at the CLI's settings; print both tables unless `--json`; return
@@ -178,10 +168,11 @@ pub fn print(rows: &[EnergyRow], policies: &[PolicyRow], scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accesys_exp::Jobs;
 
     #[test]
     fn hbm_is_most_efficient_ddr3_least() {
-        let rows = run_jobs(Scale::Quick, Jobs::serial());
+        let rows = experiment(Scale::Quick).run(Jobs::serial()).into_outputs();
         let pj = |t: MemTech| rows.iter().find(|r| r.tech == t).unwrap().pj_per_byte;
         assert!(pj(MemTech::Hbm2) < pj(MemTech::Ddr4));
         assert!(pj(MemTech::Ddr4) < pj(MemTech::Ddr3));
@@ -192,7 +183,9 @@ mod tests {
 
     #[test]
     fn open_page_wins_row_hits_for_streaming_dma() {
-        let rows = run_policies_jobs(Scale::Quick, Jobs::serial());
+        let rows = policy_experiment(Scale::Quick)
+            .run(Jobs::serial())
+            .into_outputs();
         let hits = |p: PagePolicy, m: AddressMapping| {
             rows.iter()
                 .find(|r| r.policy == p && r.mapping == m)

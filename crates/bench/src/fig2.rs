@@ -7,21 +7,11 @@
 //! committed `specs/paper_baseline.spec`; this module only measures.
 
 use crate::cli::Cli;
-use crate::{specs, Scale};
+use crate::Scale;
 use accesys::analytic::{roofline_knee, RooflinePoint};
-use accesys_exp::{Experiment, Grid, Jobs};
+use accesys_exp::{Experiment, Grid};
 use accesys_spec::{RooflineScenario, SystemSpec};
 use accesys_workload::GemmSpec;
-
-/// The committed scenario this figure lowers from.
-pub fn scenario() -> &'static RooflineScenario {
-    specs::roofline()
-}
-
-/// Measure one roofline point on the committed testbed.
-pub fn measure(compute_ns: f64, matrix: u32) -> RooflinePoint {
-    measure_on(&scenario().system, compute_ns, matrix)
-}
 
 /// Measure one roofline point on `system`.
 pub fn measure_on(system: &SystemSpec, compute_ns: f64, matrix: u32) -> RooflinePoint {
@@ -38,13 +28,7 @@ pub fn measure_on(system: &SystemSpec, compute_ns: f64, matrix: u32) -> Roofline
     }
 }
 
-/// The figure as a declarative experiment over the scenario's swept
-/// compute times.
-pub fn experiment(scale: Scale) -> impl Experiment<Point = f64, Out = RooflinePoint> {
-    experiment_for(scenario(), scale)
-}
-
-/// `sc` as a declarative experiment (the `accesys run` entry point).
+/// `sc` as a declarative experiment over its swept compute times.
 pub fn experiment_for(
     sc: &RooflineScenario,
     scale: Scale,
@@ -55,18 +39,8 @@ pub fn experiment_for(
         .sweep(move |&c| measure_on(&system, c, matrix))
 }
 
-/// Run the sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<RooflinePoint> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run at the CLI's settings; print the table unless `--json`; return
-/// the machine-readable sweep value.
-pub fn run_cli(cli: &Cli) -> serde::Value {
-    run_cli_for(scenario(), cli)
-}
-
-/// [`run_cli`] against an arbitrary loaded scenario.
+/// Run `sc` at the CLI's settings; print the table unless `--json`;
+/// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &RooflineScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
         print_for(
@@ -110,14 +84,22 @@ pub fn print_for(sc: &RooflineScenario, points: &[RooflinePoint], scale: Scale) 
 mod tests {
     use super::*;
 
+    fn scenario() -> RooflineScenario {
+        match crate::specs::load("paper_baseline").scenario {
+            accesys_spec::Scenario::Roofline(sc) => sc,
+            _ => unreachable!(),
+        }
+    }
+
     #[test]
     fn roofline_has_plateau_then_linear_region() {
         // Matrix 256 at 8 GB/s: each k-chunk moves 256 KiB (32 us), so
         // per-chunk compute of 64 tiles stays memory-bound up to
         // ~500 ns/tile — both points sit on the plateau.
-        let fast = measure(100.0, 256);
-        let mid = measure(250.0, 256);
-        let slow = measure(6000.0, 256);
+        let system = scenario().system;
+        let fast = measure_on(&system, 100.0, 256);
+        let mid = measure_on(&system, 250.0, 256);
+        let slow = measure_on(&system, 6000.0, 256);
         let plateau_ratio = mid.exec_ns / fast.exec_ns;
         assert!(plateau_ratio < 1.15, "plateau ratio {plateau_ratio}");
         // Far right: compute dominates and scales roughly linearly.

@@ -18,7 +18,7 @@
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
-use crate::{specs, Scale};
+use crate::Scale;
 use accesys_exp::pool::map_ordered;
 use accesys_exp::{cross2, Experiment, Jobs, SweepResult};
 use accesys_fleet::{
@@ -27,11 +27,6 @@ use accesys_fleet::{
 };
 use accesys_spec::FleetScenario;
 use std::time::Instant;
-
-/// The committed scenario this sweep lowers from.
-pub fn scenario() -> &'static FleetScenario {
-    specs::fleet()
-}
 
 /// Lower one (hosts, shape) grid point of a spec-layer fleet scenario
 /// into the fleet crate's self-contained [`FleetSpec`] (the form every
@@ -226,14 +221,9 @@ pub fn experiment_for(sc: &FleetScenario, scale: Scale) -> FleetSweep {
     }
 }
 
-/// Run at the CLI's settings; print the table unless `--json`; return
-/// the machine-readable sweep value. Stdout is byte-identical at any
-/// `--jobs`.
-pub fn run_cli(cli: &Cli) -> serde::Value {
-    run_cli_for(scenario(), cli)
-}
-
-/// [`run_cli`] against an arbitrary loaded fleet scenario.
+/// Run `sc` at the CLI's settings; print the table unless `--json`;
+/// return the machine-readable sweep value. Stdout is byte-identical at
+/// any `--jobs`.
 pub fn run_cli_for(sc: &FleetScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
         print_for(
@@ -297,6 +287,13 @@ pub fn print_for(sc: &FleetScenario, rows: &[FleetRow]) {
 mod tests {
     use super::*;
 
+    fn scenario() -> FleetScenario {
+        match crate::specs::load("fleet_1k").scenario {
+            accesys_spec::Scenario::Fleet(sc) => sc,
+            _ => unreachable!(),
+        }
+    }
+
     #[test]
     fn the_committed_sweep_reaches_a_1024_endpoint_fleet() {
         let sc = scenario();
@@ -314,7 +311,7 @@ mod tests {
         for &hosts in &sc.hosts {
             for shape in &sc.shapes {
                 for scale in [Scale::Quick, Scale::Paper] {
-                    let spec = lower(sc, hosts, shape, scale);
+                    let spec = lower(&sc, hosts, shape, scale);
                     spec.validate()
                         .unwrap_or_else(|e| panic!("({hosts} hosts, {shape}, {scale:?}): {e}"));
                 }
@@ -327,7 +324,7 @@ mod tests {
         // 1 + 3 + 5 hosts: at jobs 2 and 4, shards of different points
         // run side by side and finish out of order. The full grid runs
         // in CI.
-        let mut small = scenario().clone();
+        let mut small = scenario();
         small.hosts = vec![1, 3, 5];
         small.shapes = vec!["2".to_string()];
         let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs);
@@ -364,10 +361,10 @@ mod tests {
         // adding hosts must not reduce completions.
         let sc = scenario();
         let shape = &sc.shapes[0];
-        let one = run_point(&lower(sc, 1, shape, Scale::Quick)).expect("1-host fleet runs");
+        let one = run_point(&lower(&sc, 1, shape, Scale::Quick)).expect("1-host fleet runs");
         let &few = sc.hosts.first().expect("hosts swept");
         let spread =
-            run_point(&lower(sc, few, shape, Scale::Quick)).expect("committed fleet point runs");
+            run_point(&lower(&sc, few, shape, Scale::Quick)).expect("committed fleet point runs");
         assert_eq!(one.offered, spread.offered, "same frontend trace");
         assert!(
             spread.completed >= one.completed,

@@ -19,16 +19,11 @@
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
-use crate::{specs, Scale};
-use accesys_exp::{Experiment, Grid, Jobs};
+use crate::Scale;
+use accesys_exp::{Experiment, Grid};
 use accesys_spec::PipelineScenario;
 use accesys_workload::encoder_ops;
 use accesys_workload::graph::{op_chain, pipelined_encoder, PipelineSpec};
-
-/// The committed scenario this sweep lowers from.
-pub fn scenario() -> &'static PipelineScenario {
-    specs::pipeline()
-}
 
 /// One schedule-shape measurement on one tree shape.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -74,11 +69,6 @@ fn pipeline_graph(
     )
 }
 
-/// Measure one tree shape under both schedules (committed scenario).
-pub fn measure(shape: &str, scale: Scale) -> GraphRow {
-    measure_for(scenario(), shape, scale)
-}
-
 /// Measure one tree shape under both of `sc`'s schedules.
 pub fn measure_for(sc: &PipelineScenario, shape: &str, scale: Scale) -> GraphRow {
     let levels = parse_shape(shape);
@@ -119,12 +109,7 @@ pub fn measure_for(sc: &PipelineScenario, shape: &str, scale: Scale) -> GraphRow
     }
 }
 
-/// The sweep as a declarative experiment over the scenario's shapes.
-pub fn experiment(scale: Scale) -> impl Experiment<Point = String, Out = GraphRow> {
-    experiment_for(scenario(), scale)
-}
-
-/// `sc` as a declarative experiment (the `accesys run` entry point).
+/// `sc` as a declarative experiment over its shapes.
 pub fn experiment_for(
     sc: &PipelineScenario,
     scale: Scale,
@@ -133,18 +118,8 @@ pub fn experiment_for(
     Grid::new(sc.name.clone(), sc.shapes.clone()).sweep(move |s| measure_for(&sc, s, scale))
 }
 
-/// Run the sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<GraphRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run at the CLI's settings; print the table unless `--json`; return
-/// the machine-readable sweep value.
-pub fn run_cli(cli: &Cli) -> serde::Value {
-    run_cli_for(scenario(), cli)
-}
-
-/// [`run_cli`] against an arbitrary loaded scenario.
+/// Run `sc` at the CLI's settings; print the table unless `--json`;
+/// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &PipelineScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
         print_for(
@@ -197,12 +172,20 @@ pub fn print_for(sc: &PipelineScenario, rows: &[GraphRow], scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accesys_exp::Jobs;
+
+    fn scenario() -> PipelineScenario {
+        match crate::specs::load("pipelined_encoder").scenario {
+            accesys_spec::Scenario::Pipeline(sc) => sc,
+            _ => unreachable!(),
+        }
+    }
 
     #[test]
     fn depth_two_tree_pipelines_beat_the_sequential_chain() {
         // The acceptance shape: on a depth-2 switch tree the pipelined
         // schedule must beat the sequential chain outright.
-        let row = measure("2x4", Scale::Quick);
+        let row = measure_for(&scenario(), "2x4", Scale::Quick);
         assert_eq!(row.depth, 2);
         assert_eq!(row.endpoints, 8);
         assert!(row.max_in_flight >= 2, "no overlap: {row:?}");
@@ -218,7 +201,7 @@ mod tests {
     fn single_leaf_degenerates_to_the_chain() {
         // One device = one stage: the pipeline cannot beat the chain by
         // more than scheduling noise, and must not be slower than 0.9x.
-        let row = measure("1", Scale::Quick);
+        let row = measure_for(&scenario(), "1", Scale::Quick);
         assert_eq!(row.endpoints, 1);
         assert!(
             (0.9..=1.1).contains(&row.speedup),
@@ -229,13 +212,13 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_worker_counts() {
-        let a = run_jobs(Scale::Quick, Jobs::serial());
-        let b = run_jobs(Scale::Quick, Jobs::new(4));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.shape, y.shape);
-            assert_eq!(x.sequential_ns.to_bits(), y.sequential_ns.to_bits());
-            assert_eq!(x.pipelined_ns.to_bits(), y.pipelined_ns.to_bits());
-        }
+        // A flat and a depth-2 tree, half the layers and images; the
+        // full grid is pinned by the `exp all` golden at jobs 1 and 4.
+        let mut small = scenario();
+        small.shapes = ["2", "2x2"].map(String::from).to_vec();
+        small.layers.quick /= 2;
+        small.images.quick /= 2;
+        let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs).to_json();
+        assert_eq!(run(Jobs::serial()).unwrap(), run(Jobs::new(4)).unwrap());
     }
 }

@@ -23,15 +23,10 @@
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
-use crate::{specs, Scale};
-use accesys_exp::{Experiment, Grid, Jobs};
+use crate::Scale;
+use accesys_exp::{Experiment, Grid};
 use accesys_serve::{serve, ServeConfig, ServeReport};
 use accesys_spec::ServingScenario;
-
-/// The committed scenario this sweep lowers from.
-pub fn scenario() -> &'static ServingScenario {
-    specs::serving()
-}
 
 /// One serving measurement: one arrival rate on one tree shape.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -90,12 +85,8 @@ fn serve_once(
     .expect("serving completes")
 }
 
-/// Measure one (rate, shape) point: batched vs sequential dispatch.
-pub fn measure(rate: f64, shape: &str, scale: Scale) -> ServeRow {
-    measure_for(scenario(), rate, shape, scale)
-}
-
-/// Measure one (rate, shape) point of an arbitrary serving scenario.
+/// Measure one (rate, shape) point of `sc`: batched vs sequential
+/// dispatch.
 pub fn measure_for(sc: &ServingScenario, rate: f64, shape: &str, scale: Scale) -> ServeRow {
     let levels = parse_shape(shape);
     let endpoints: u32 = levels.iter().product();
@@ -126,12 +117,7 @@ pub fn measure_for(sc: &ServingScenario, rate: f64, shape: &str, scale: Scale) -
     }
 }
 
-/// The sweep as a declarative experiment: rate × shape, row-major.
-pub fn experiment(scale: Scale) -> impl Experiment<Point = (f64, String), Out = ServeRow> {
-    experiment_for(scenario(), scale)
-}
-
-/// `sc` as a declarative experiment (the `accesys run` entry point).
+/// `sc` as a declarative experiment: rate × shape, row-major.
 pub fn experiment_for(
     sc: &ServingScenario,
     scale: Scale,
@@ -141,18 +127,8 @@ pub fn experiment_for(
         .sweep(move |(rate, shape)| measure_for(&sc, *rate, shape, scale))
 }
 
-/// Run the sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<ServeRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run at the CLI's settings; print the table unless `--json`; return
-/// the machine-readable sweep value.
-pub fn run_cli(cli: &Cli) -> serde::Value {
-    run_cli_for(scenario(), cli)
-}
-
-/// [`run_cli`] against an arbitrary loaded scenario.
+/// Run `sc` at the CLI's settings; print the table unless `--json`;
+/// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &ServingScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
         print_for(
@@ -228,14 +204,22 @@ fn traffic_label(sc: &ServingScenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accesys_exp::Jobs;
+
+    fn scenario() -> ServingScenario {
+        match crate::specs::load("two_tenant_mix").scenario {
+            accesys_spec::Scenario::Serving(sc) => sc,
+            _ => unreachable!(),
+        }
+    }
 
     #[test]
     fn saturation_goodput_beats_sequential_dispatch_on_a_multi_leaf_tree() {
         // The acceptance shape: at the top swept rate on the four-leaf
         // tree, continuous batching must out-serve one-at-a-time
         // dispatch outright.
-        let rate = scenario().rates[2];
-        let row = measure(rate, "2x2", Scale::Quick);
+        let sc = scenario();
+        let row = measure_for(&sc, sc.rates[2], "2x2", Scale::Quick);
         assert_eq!(row.endpoints, 4);
         assert!(row.peak_batch > 1, "batching never engaged: {row:?}");
         assert!(
@@ -247,8 +231,8 @@ mod tests {
 
     #[test]
     fn below_saturation_everything_is_served_either_way() {
-        let rate = scenario().rates[0];
-        let row = measure(rate, "2", Scale::Quick);
+        let sc = scenario();
+        let row = measure_for(&sc, sc.rates[0], "2", Scale::Quick);
         assert_eq!(row.rejected, 0, "no load shedding below saturation");
         assert_eq!(row.admitted, row.offered);
         assert!(
@@ -260,17 +244,12 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_worker_counts() {
-        let a = run_jobs(Scale::Quick, Jobs::serial());
-        let b = run_jobs(Scale::Quick, Jobs::new(4));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.shape, y.shape);
-            assert_eq!(x.p99_ns.to_bits(), y.p99_ns.to_bits());
-            assert_eq!(x.goodput_rps.to_bits(), y.goodput_rps.to_bits());
-            assert_eq!(
-                x.sequential_goodput_rps.to_bits(),
-                y.sequential_goodput_rps.to_bits()
-            );
-        }
+        // One rate on a flat and a depth-2 tree; the full grid is pinned
+        // by the `exp all` golden at jobs 1 and 4.
+        let mut small = scenario();
+        small.rates = vec![small.rates[1]];
+        small.shapes = ["2", "2x2"].map(String::from).to_vec();
+        let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs).to_json();
+        assert_eq!(run(Jobs::serial()).unwrap(), run(Jobs::new(4)).unwrap());
     }
 }

@@ -1,19 +1,15 @@
 //! The committed scenario library: the `specs/*.spec` files at the
-//! repo root, embedded at compile time and loaded once per kind.
+//! repo root, embedded at compile time.
 //!
-//! The text files are the single source of truth for every driver's
-//! presets — [`crate::fig2`], [`crate::topo`], [`crate::graph`],
-//! [`crate::serve`] and [`crate::decode`] all lower their testbeds,
-//! workloads and sweep axes from here instead of carrying Rust-side
-//! constants. A committed spec that fails to load is a build defect,
-//! so the accessors panic with the loader's diagnostic rather than
-//! propagating it.
+//! Six experiments take their presets from these files: `fig2`, `topo`,
+//! `graph`, `serve`, `decode` and `fleet` are [`crate::Source::Spec`]
+//! entries of [`crate::EXPERIMENTS`], so `accesys exp <name>` loads the
+//! file and runs it through [`crate::run_spec`]. The other experiments
+//! still carry Rust-side presets. A committed spec that fails to load is
+//! a build defect, so [`load`] panics with the loader's diagnostic
+//! rather than propagating it.
 
-use accesys_spec::{
-    DecodeScenario, FleetScenario, PipelineScenario, RooflineScenario, Scenario, ServingScenario,
-    Spec, TopoScenario,
-};
-use std::sync::OnceLock;
+use accesys_spec::Spec;
 
 /// The committed scenario files, embedded: `(stem, text)`, in the
 /// order the `accesys list` subcommand shows them.
@@ -51,30 +47,6 @@ pub fn load(stem: &str) -> Spec {
     accesys_spec::load_str(text).unwrap_or_else(|e| panic!("specs/{stem}.spec: {e}"))
 }
 
-macro_rules! committed {
-    ($fn_name:ident, $stem:literal, $variant:ident, $ty:ty) => {
-        /// The committed scenario of that kind (loaded once).
-        pub fn $fn_name() -> &'static $ty {
-            static SCENARIO: OnceLock<$ty> = OnceLock::new();
-            SCENARIO.get_or_init(|| match load($stem).scenario {
-                Scenario::$variant(s) => s,
-                other => panic!(
-                    concat!("specs/", $stem, ".spec: expected kind `{}`, got `{}`"),
-                    stringify!($variant),
-                    other.kind()
-                ),
-            })
-        }
-    };
-}
-
-committed!(roofline, "paper_baseline", Roofline, RooflineScenario);
-committed!(topo, "switch_trees", Topo, TopoScenario);
-committed!(pipeline, "pipelined_encoder", Pipeline, PipelineScenario);
-committed!(serving, "two_tenant_mix", Serving, ServingScenario);
-committed!(decode, "llm_decode", Decode, DecodeScenario);
-committed!(fleet, "fleet_1k", Fleet, FleetScenario);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,15 +59,5 @@ mod tests {
             spec.dry_build(Scale::Quick)
                 .unwrap_or_else(|e| panic!("specs/{stem}.spec: {e}"));
         }
-    }
-
-    #[test]
-    fn the_drivers_find_their_kinds() {
-        assert_eq!(roofline().name, "fig2");
-        assert_eq!(topo().name, "topo_scaling");
-        assert_eq!(pipeline().name, "graph_scaling");
-        assert_eq!(serving().name, "serve_scaling");
-        assert_eq!(decode().name, "decode_scaling");
-        assert_eq!(fleet().name, "fleet_scaling");
     }
 }

@@ -12,15 +12,10 @@
 //! from the committed `specs/switch_trees.spec`.
 
 use crate::cli::Cli;
-use crate::{specs, Scale};
-use accesys_exp::{Experiment, Grid, Jobs};
+use crate::Scale;
+use accesys_exp::{Experiment, Grid};
 use accesys_spec::{SystemSpec, TopoScenario};
 use accesys_workload::GemmSpec;
-
-/// The committed scenario this sweep lowers from.
-pub fn scenario() -> &'static TopoScenario {
-    specs::topo()
-}
 
 /// One topology measurement.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -55,11 +50,6 @@ fn sharded_report(system: &SystemSpec, levels: &[u32], matrix: u32) -> accesys::
         .expect("sharded gemm completes")
 }
 
-/// Measure one tree shape in both committed regimes.
-pub fn measure(shape: &str, matrix: u32) -> TopoRow {
-    measure_for(scenario(), shape, matrix)
-}
-
 /// Measure one tree shape in both of `sc`'s regimes.
 pub fn measure_for(sc: &TopoScenario, shape: &str, matrix: u32) -> TopoRow {
     let levels = parse_shape(shape);
@@ -75,12 +65,7 @@ pub fn measure_for(sc: &TopoScenario, shape: &str, matrix: u32) -> TopoRow {
     }
 }
 
-/// The sweep as a declarative experiment over the scenario's shapes.
-pub fn experiment(scale: Scale) -> impl Experiment<Point = String, Out = TopoRow> {
-    experiment_for(scenario(), scale)
-}
-
-/// `sc` as a declarative experiment (the `accesys run` entry point).
+/// `sc` as a declarative experiment over its shapes.
 pub fn experiment_for(
     sc: &TopoScenario,
     scale: Scale,
@@ -90,18 +75,8 @@ pub fn experiment_for(
     Grid::new(sc.name.clone(), sc.shapes.clone()).sweep(move |s| measure_for(&sc, s, matrix))
 }
 
-/// Run the sweep on `jobs` workers.
-pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<TopoRow> {
-    experiment(scale).run(jobs).into_outputs()
-}
-
-/// Run at the CLI's settings; print the table unless `--json`; return
-/// the machine-readable sweep value.
-pub fn run_cli(cli: &Cli) -> serde::Value {
-    run_cli_for(scenario(), cli)
-}
-
-/// [`run_cli`] against an arbitrary loaded scenario.
+/// Run `sc` at the CLI's settings; print the table unless `--json`;
+/// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &TopoScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
         print_for(
@@ -151,29 +126,39 @@ pub fn print_for(sc: &TopoScenario, rows: &[TopoRow], scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accesys_exp::Jobs;
+
+    fn scenario() -> TopoScenario {
+        match crate::specs::load("switch_trees").scenario {
+            accesys_spec::Scenario::Topo(sc) => sc,
+            _ => unreachable!(),
+        }
+    }
 
     #[test]
     fn depth_two_eight_endpoint_tree_is_in_the_sweep() {
         // The acceptance shape: a depth-2 tree with 8 endpoints builds,
         // runs a sharded GEMM, and reports through the sweep.
-        let row = measure("2x4", 128);
+        let sc = scenario();
+        let row = measure_for(&sc, "2x4", 128);
         assert_eq!(row.depth, 2);
         assert_eq!(row.endpoints, 8);
         assert!(row.compute_bound_ns > 0.0);
         assert!(row.transfer_bound_ns > 0.0);
         assert!(row.root_up_tlps > 0.0);
-        assert!(scenario().shapes.iter().any(|s| s == "2x4"));
+        assert!(sc.shapes.iter().any(|s| s == "2x4"));
     }
 
     #[test]
     fn flat_shape_matches_the_classic_cluster_preset() {
         // Shape "4" is the Fig. 1 cluster: same endpoint count, both run.
-        let row = measure("4", 128);
+        let sc = scenario();
+        let row = measure_for(&sc, "4", 128);
         assert_eq!(row.depth, 1);
         assert_eq!(row.endpoints, 4);
         assert!(row.transfer_bound_ns > 0.0);
         // Compute-bound sharding scales: 4 leaves beat 1 clearly.
-        let one = measure("1", 128);
+        let one = measure_for(&sc, "1", 128);
         assert!(
             one.compute_bound_ns / row.compute_bound_ns > 2.5,
             "compute-bound 4-leaf speedup {:.2}",
@@ -183,13 +168,11 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_worker_counts() {
-        let a = run_jobs(Scale::Quick, Jobs::serial());
-        let b = run_jobs(Scale::Quick, Jobs::new(4));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.shape, y.shape);
-            assert_eq!(x.compute_bound_ns.to_bits(), y.compute_bound_ns.to_bits());
-            assert_eq!(x.transfer_bound_ns.to_bits(), y.transfer_bound_ns.to_bits());
-        }
+        // Flat trees and a depth-2 one; the full grid is pinned by the
+        // `exp all` golden at jobs 1 and 4.
+        let mut small = scenario();
+        small.shapes = ["1", "2", "2x2"].map(String::from).to_vec();
+        let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs).to_json();
+        assert_eq!(run(Jobs::serial()).unwrap(), run(Jobs::new(4)).unwrap());
     }
 }

@@ -41,15 +41,13 @@ fn sweep_json_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn driver_output_matches_across_worker_counts() {
-    // End to end through a real migrated driver.
-    use accesys_bench::{fig2, Scale};
-    let a = fig2::run_jobs(Scale::Quick, Jobs::serial());
-    let b = fig2::run_jobs(Scale::Quick, Jobs::new(4));
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b.iter()) {
-        assert_eq!(x.compute_ns.to_bits(), y.compute_ns.to_bits());
-        assert_eq!(x.exec_ns.to_bits(), y.exec_ns.to_bits());
-    }
+    // End to end through a real spec-backed driver.
+    use accesys_bench::{fig2, specs, Scale};
+    let accesys_spec::Scenario::Roofline(sc) = specs::load("paper_baseline").scenario else {
+        unreachable!()
+    };
+    let run = |jobs: Jobs| fig2::experiment_for(&sc, Scale::Quick).run(jobs).to_json();
+    assert_eq!(run(Jobs::serial()).unwrap(), run(Jobs::new(4)).unwrap());
 }
 
 #[test]

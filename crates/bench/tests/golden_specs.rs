@@ -14,35 +14,19 @@
 //! `ACCESYS_REGEN_GOLDEN=1 cargo test -p accesys-bench --test golden_specs`.
 
 use accesys_bench::specs::{load, LIBRARY};
-use accesys_bench::{decode, fig2, fleet, graph, serve, topo, Scale};
-use accesys_exp::{Experiment, Jobs};
-use accesys_spec::{Scenario, Spec};
+use accesys_bench::{run_spec, Scale};
+use accesys_exp::cli::Cli;
+use accesys_exp::Jobs;
+use accesys_spec::Spec;
 
 /// The serialized quick-scale serial sweep of `spec` — exactly the
 /// value `accesys run <spec> --jobs 1 --json` emits.
 fn sweep_json(spec: &Spec) -> String {
-    let value = match &spec.scenario {
-        Scenario::Roofline(sc) => {
-            serde::Serialize::to_value(&fig2::experiment_for(sc, Scale::Quick).run(Jobs::serial()))
-        }
-        Scenario::Topo(sc) => {
-            serde::Serialize::to_value(&topo::experiment_for(sc, Scale::Quick).run(Jobs::serial()))
-        }
-        Scenario::Pipeline(sc) => {
-            serde::Serialize::to_value(&graph::experiment_for(sc, Scale::Quick).run(Jobs::serial()))
-        }
-        Scenario::Serving(sc) => {
-            serde::Serialize::to_value(&serve::experiment_for(sc, Scale::Quick).run(Jobs::serial()))
-        }
-        Scenario::Decode(sc) => serde::Serialize::to_value(
-            &decode::experiment_for(sc, Scale::Quick).run(Jobs::serial()),
-        ),
-        // Host shards on the flat schedule; byte-identical at any --jobs.
-        Scenario::Fleet(sc) => {
-            serde::Serialize::to_value(&fleet::experiment_for(sc, Scale::Quick).run(Jobs::serial()))
-        }
+    let cli = Cli {
+        json: true,
+        ..Cli::new(Scale::Quick, Jobs::serial())
     };
-    serde_json::to_string_pretty(&value).expect("sweep results serialize")
+    serde_json::to_string_pretty(&run_spec(spec, &cli)).expect("sweep results serialize")
 }
 
 #[test]

@@ -2,8 +2,11 @@
 //! produces a byte-identical machine-readable sweep whether it runs on
 //! one worker or four — the `--jobs` flag is a wall-clock knob, never
 //! an output knob. Random roofline specs (the cheapest family) are the
-//! probe; the committed library's other kinds are covered by the
-//! per-driver `sweep_is_deterministic_across_worker_counts` tests.
+//! probe. The committed library's other kinds are covered by the
+//! per-driver `sweep_is_deterministic_across_worker_counts` tests on
+//! 2-point sub-grids (fleet's `the_flat_shard_schedule_is_deterministic_across_jobs`
+//! on three points), and their full grids by CI's `accesys exp all`
+//! golden `cmp` at `--jobs 1` and `--jobs 4`.
 
 use accesys_bench::{fig2, Scale};
 use accesys_exp::{Experiment, Jobs};

@@ -1,8 +1,9 @@
 //! # accesys-spec
 //!
 //! The text spec front-end of the Gem5-AcceSys reproduction: scenario
-//! files in a small TOML subset are the single source of truth for
-//! every layer's presets — `[topology]` lowers to the switch-tree
+//! files in a small TOML subset hold the presets of the six spec-backed
+//! experiment families (roofline, topo, pipeline, serving, decode,
+//! fleet) — `[topology]` lowers to the switch-tree
 //! [`TopologySpec`](accesys::TopologySpec), `[workload]` to the task
 //! graphs and request shapes, `[traffic]`/`[policy]`/`[kv]` to the
 //! serving layer's arrival specs, policies and KV budgets.

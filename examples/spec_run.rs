@@ -12,10 +12,9 @@
 //! cargo run --release -p accesys-bench --bin accesys -- run specs/paper_baseline.spec
 //! ```
 
-use accesys_bench::{fig2, Scale};
+use accesys_bench::{run_spec, Scale};
 use accesys_exp::cli::Cli;
 use accesys_exp::Jobs;
-use accesys_spec::Scenario;
 
 fn main() {
     // 1. Load a committed scenario file. `load_file` runs the whole
@@ -36,9 +35,8 @@ fn main() {
 
     // 3. Run it through the driver of its kind — the text file is the
     //    single source of truth for the testbed and the swept axis.
-    if let Scenario::Roofline(sc) = &spec.scenario {
-        fig2::run_cli_for(sc, &Cli::new(Scale::Quick, Jobs::new(2)));
-    }
+    //    `run_spec` is the call `accesys run` and `accesys exp fig2` make.
+    run_spec(&spec, &Cli::new(Scale::Quick, Jobs::new(2)));
 
     // 4. Every way a spec can be wrong is a typed, span-carrying
     //    diagnostic — never a panic. Misspell a key:
