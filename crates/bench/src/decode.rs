@@ -5,8 +5,8 @@
 //! Decode is the serving regime the paper's interconnect questions bite
 //! hardest in: every round is a batch of skinny memory-bound GEMMs,
 //! and the working set that decides who runs where is the KV cache
-//! growing in each leaf's `devmem` slice. Each point serves the same
-//! seeded Poisson trace twice on the same tree:
+//! growing in each leaf's `devmem` slice. Each point compares two
+//! serves of the same seeded Poisson trace on the same tree:
 //!
 //! * **batched** — continuous batching up to the policy's cap
 //!   (`2 × endpoints` for `batch_cap = "auto"`): prefills fold in at
@@ -17,18 +17,26 @@
 //! The third axis is the per-device KV budget: **ample** (slices never
 //! fill) vs **tight** (a fraction over one request's worth — concurrent
 //! decoders must evict each other, and the pressure shows up as
-//! host-memory `Transfer` traffic in the row). The testbed, request
-//! shape, traffic, policy, budgets and sweep axes lower from the
-//! committed `specs/llm_decode.spec`; this module's tests hold the
-//! saturation goodput ratio and the tight-budget evictions to their
-//! bars.
+//! host-memory `Transfer` traffic in the row). One request in flight
+//! never makes the KV cache evict, so the sequential serve is the same
+//! under every budget: [`DecodeSweep`] runs it once per (rate, shape)
+//! pair and puts it, with every point's batched serve, on the sweep's
+//! `--jobs` threads as one flat list.
+//!
+//! The testbed, request shape, traffic, policy, budgets and sweep axes
+//! lower from the committed `specs/llm_decode.spec`; this module's tests
+//! hold the saturation goodput ratio and the tight-budget evictions to
+//! their bars.
 
 use crate::cli::Cli;
 use crate::topo::parse_shape;
 use crate::Scale;
-use accesys_exp::{Experiment, Grid};
-use accesys_serve::{serve_llm, LlmServeConfig, LlmServeReport};
+use accesys_exp::pool::map_ordered;
+use accesys_exp::{cross3, Experiment, Jobs, SweepResult};
+use accesys_serve::{serve_llm, Arrival, LlmServeConfig, LlmServeReport};
 use accesys_spec::DecodeScenario;
+use std::cmp::Reverse;
+use std::time::Instant;
 
 /// One decode-serving measurement: one arrival rate on one tree shape
 /// under one KV budget.
@@ -81,49 +89,62 @@ pub struct DecodeRow {
     pub goodput_gain: f64,
 }
 
-/// Serve the point's trace once at `batch_cap` requests in flight.
+/// What a point's serves are built from: its tree, its per-device KV
+/// budget and its batched cap.
+struct Setup {
+    levels: Vec<u32>,
+    budget_bytes: u64,
+    batch_cap: usize,
+}
+
+impl Setup {
+    fn of(sc: &DecodeScenario, shape: &str, budget: &str) -> Setup {
+        let levels = parse_shape(shape);
+        let endpoints: u32 = levels.iter().product();
+        let budget_bytes = sc
+            .kv
+            .budget_bytes(budget, &sc.request)
+            .unwrap_or_else(|| panic!("unknown KV budget regime {budget:?}"));
+        Setup {
+            levels,
+            budget_bytes,
+            batch_cap: sc.policy.batch_cap.cap(endpoints),
+        }
+    }
+}
+
+/// Serve `arrivals` once on the point's tree at `batch_cap` requests in
+/// flight.
 fn serve_once(
     sc: &DecodeScenario,
-    rate: f64,
-    levels: &[u32],
+    arrivals: &[Arrival],
+    setup: &Setup,
     batch_cap: usize,
-    budget_bytes: u64,
-    scale: Scale,
 ) -> LlmServeReport {
-    let arrivals = sc.traffic.arrivals(rate, scale);
     let mut sim = sc
         .system
-        .simulation(levels)
+        .simulation(&setup.levels)
         .expect("validated spec testbed builds");
     serve_llm(
         &mut sim,
         &sc.request,
-        &arrivals,
+        arrivals,
         &sc.policy.policy(),
-        &LlmServeConfig::new(batch_cap, sc.policy.queue_cap, budget_bytes)
+        &LlmServeConfig::new(batch_cap, sc.policy.queue_cap, setup.budget_bytes)
             .with_slo_ns(sc.policy.slo_ns),
     )
     .expect("decode serving completes")
 }
 
-/// Measure one (rate, shape, budget) point of `sc`: batched vs
-/// sequential.
-pub fn measure_for(
-    sc: &DecodeScenario,
+/// The row of one (rate, shape, budget) point from its two serves.
+fn row_of(
     rate: f64,
     shape: &str,
     budget: &str,
-    scale: Scale,
+    setup: &Setup,
+    batched: &LlmServeReport,
+    sequential: &LlmServeReport,
 ) -> DecodeRow {
-    let levels = parse_shape(shape);
-    let endpoints: u32 = levels.iter().product();
-    let budget_bytes = sc
-        .kv
-        .budget_bytes(budget, &sc.request)
-        .unwrap_or_else(|| panic!("unknown KV budget regime {budget:?}"));
-    let batch_cap = sc.policy.batch_cap.cap(endpoints);
-    let batched = serve_once(sc, rate, &levels, batch_cap, budget_bytes, scale);
-    let sequential = serve_once(sc, rate, &levels, 1, budget_bytes, scale);
     let gain = if sequential.goodput_rps > 0.0 {
         batched.goodput_rps / sequential.goodput_rps
     } else if batched.goodput_rps > 0.0 {
@@ -135,8 +156,8 @@ pub fn measure_for(
         rate_rps: rate,
         shape: shape.to_string(),
         budget: budget.to_string(),
-        endpoints,
-        kv_budget: budget_bytes,
+        endpoints: setup.levels.iter().product(),
+        kv_budget: setup.budget_bytes,
         offered: batched.offered,
         admitted: batched.admitted,
         rejected: batched.rejected,
@@ -157,19 +178,129 @@ pub fn measure_for(
     }
 }
 
-/// `sc` as a declarative experiment: rate × shape × budget, row-major.
-pub fn experiment_for(
+/// Measure one (rate, shape, budget) point of `sc` on its own: its
+/// batched serve, then its sequential serve.
+pub fn measure_for(
     sc: &DecodeScenario,
+    rate: f64,
+    shape: &str,
+    budget: &str,
     scale: Scale,
-) -> impl Experiment<Point = (f64, String, String), Out = DecodeRow> {
-    let sc = sc.clone();
-    Grid::cross3(
-        sc.name.clone(),
-        sc.rates.clone(),
-        sc.shapes.clone(),
-        sc.budgets.clone(),
-    )
-    .sweep(move |(rate, shape, budget)| measure_for(&sc, *rate, shape, budget, scale))
+) -> DecodeRow {
+    let setup = Setup::of(sc, shape, budget);
+    let arrivals = sc.traffic.arrivals(rate, scale);
+    let batched = serve_once(sc, &arrivals, &setup, setup.batch_cap);
+    let sequential = serve_once(sc, &arrivals, &setup, 1);
+    row_of(rate, shape, budget, &setup, &batched, &sequential)
+}
+
+/// One decode sweep point: offered rate, tree shape, KV budget regime.
+pub type DecodePoint = (f64, String, String);
+
+/// The decode sweep: rate × shape × budget, row-major. Its
+/// [`Experiment::run`] schedules serves, not points: every point's
+/// batched serve and one sequential serve per (rate, shape) pair go on
+/// the `--jobs` threads as one flat list, longest trace first.
+///
+/// A pair's budgets share its sequential serve. With one request in
+/// flight, a request that fits its budget never makes the KV cache
+/// evict, so the serve is the same under every budget the request fits;
+/// it runs under the budget of the pair's first point.
+pub struct DecodeSweep {
+    sc: DecodeScenario,
+    scale: Scale,
+}
+
+impl Experiment for DecodeSweep {
+    type Point = DecodePoint;
+    type Out = DecodeRow;
+
+    fn name(&self) -> &str {
+        &self.sc.name
+    }
+
+    fn points(&self) -> Vec<DecodePoint> {
+        cross3(
+            self.sc.rates.clone(),
+            self.sc.shapes.clone(),
+            self.sc.budgets.clone(),
+        )
+    }
+
+    /// One point on its own, both of its serves one after the other.
+    fn measure(&self, (rate, shape, budget): &DecodePoint) -> DecodeRow {
+        measure_for(&self.sc, *rate, shape, budget, self.scale)
+    }
+
+    /// Every serve of the sweep on one `jobs` pool, then the rows in
+    /// point order. Serves are handed out by descending trace length
+    /// and written back by index, so the schedule never reaches the
+    /// rows.
+    fn run(&self, jobs: Jobs) -> SweepResult<DecodePoint, DecodeRow> {
+        let sc = &self.sc;
+        let start = Instant::now();
+        let points = self.points();
+        // Row-major: a pair's budgets are adjacent, and so are a rate's
+        // pairs.
+        let per_pair = sc.budgets.len().max(1);
+        let per_rate = per_pair * sc.shapes.len();
+        let traces: Vec<Vec<Arrival>> = sc
+            .rates
+            .iter()
+            .map(|&rate| sc.traffic.arrivals(rate, self.scale))
+            .collect();
+        let setups: Vec<Setup> = points
+            .iter()
+            .map(|(_, shape, budget)| Setup::of(sc, shape, budget))
+            .collect();
+        // (point, batch cap): each point's batched serve at its own
+        // index, then each pair's sequential serve.
+        let serves: Vec<(usize, usize)> = setups
+            .iter()
+            .enumerate()
+            .map(|(point, setup)| (point, setup.batch_cap))
+            .chain((0..points.len()).step_by(per_pair).map(|point| (point, 1)))
+            .collect();
+        let trace = |point: usize| &traces[point / per_rate];
+        let mut order: Vec<usize> = (0..serves.len()).collect();
+        order.sort_by_key(|&i| Reverse(trace(serves[i].0).len()));
+        let served = map_ordered(jobs.get(), &order, |&i| {
+            let (point, batch_cap) = serves[i];
+            serve_once(sc, trace(point), &setups[point], batch_cap)
+        });
+        let mut indexed: Vec<(usize, LlmServeReport)> = order.into_iter().zip(served).collect();
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        let reports: Vec<LlmServeReport> = indexed.into_iter().map(|(_, r)| r).collect();
+        let (batched, sequential) = reports.split_at(points.len());
+        let rows: Vec<DecodeRow> = points
+            .iter()
+            .enumerate()
+            .map(|(point, (rate, shape, budget))| {
+                row_of(
+                    *rate,
+                    shape,
+                    budget,
+                    &setups[point],
+                    &batched[point],
+                    &sequential[point / per_pair],
+                )
+            })
+            .collect();
+        SweepResult {
+            name: sc.name.clone(),
+            jobs: jobs.get().min(serves.len()).max(1),
+            wall: start.elapsed(),
+            points: points.into_iter().zip(rows).collect(),
+        }
+    }
+}
+
+/// The sweep of an arbitrary loaded decode scenario.
+pub fn experiment_for(sc: &DecodeScenario, scale: Scale) -> DecodeSweep {
+    DecodeSweep {
+        sc: sc.clone(),
+        scale,
+    }
 }
 
 /// Run `sc` at the CLI's settings; print the table unless `--json`;
@@ -239,7 +370,6 @@ pub fn print_for(sc: &DecodeScenario, rows: &[DecodeRow], _scale: Scale) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accesys_exp::Jobs;
 
     fn scenario() -> DecodeScenario {
         match crate::specs::load("llm_decode").scenario {
@@ -293,13 +423,29 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_across_worker_counts() {
-        // One rate on a depth-2 tree under both KV budgets; the full
-        // grid is pinned by the `exp all` golden at jobs 1 and 4.
+    fn the_flat_serve_schedule_matches_point_by_point_measurement() {
+        // One rate on a two-leaf tree under both KV budgets: the two
+        // points share one sequential serve, and at jobs 4 all three
+        // serves run side by side. The full grid is pinned by the
+        // `exp all` golden at jobs 1 and 4.
         let mut small = scenario();
         small.rates = vec![small.rates[1]];
-        small.shapes = vec!["2x2".to_string()];
-        let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs).to_json();
-        assert_eq!(run(Jobs::serial()).unwrap(), run(Jobs::new(4)).unwrap());
+        small.shapes = vec!["2".to_string()];
+        let run = |jobs: Jobs| experiment_for(&small, Scale::Quick).run(jobs);
+        let serial = run(Jobs::serial());
+        let json = serial.to_json().expect("decode rows serialize");
+        assert_eq!(
+            run(Jobs::new(4)).to_json().expect("decode rows serialize"),
+            json
+        );
+        assert_eq!(serial.points.len(), 2);
+        for ((rate, shape, budget), row) in &serial.points {
+            let alone = measure_for(&small, *rate, shape, budget, Scale::Quick);
+            assert_eq!(
+                serde_json::to_string(row).expect("row serializes"),
+                serde_json::to_string(&alone).expect("row serializes"),
+                "({rate}, {shape}, {budget})"
+            );
+        }
     }
 }

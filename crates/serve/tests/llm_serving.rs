@@ -1,7 +1,7 @@
 //! Integration tests for the LLM serving engine: slot reuse at mixed
 //! admission/retirement rounds, whole-batch EOS drains, KV-budget
-//! entry errors, and byte-identical trace replay of a mixed
-//! prefill/decode arrival trace.
+//! entry errors, a budget that cannot bind one request in flight, and
+//! byte-identical trace replay of a mixed prefill/decode arrival trace.
 
 use accesys::topology::switch_tree_with;
 use accesys::{MemBackendConfig, Simulation, SystemConfig};
@@ -180,6 +180,41 @@ fn tight_budgets_surface_eviction_traffic() {
         "every KV event becomes a Transfer task"
     );
     assert!(report.kv.peak_resident <= tight.kv_budget);
+}
+
+#[test]
+fn one_request_in_flight_never_feels_the_kv_budget() {
+    // Batch cap 1 on a saturating trace: a request that fits its slice
+    // is alone on its device, so no claim can evict, and a budget of
+    // exactly one request serves the same as a whole MiB. Sweeps rely
+    // on this to run one sequential serve per budget axis.
+    let s = shape(4);
+    let arrivals: Vec<Arrival> = (0..8).map(|_| at(0)).collect();
+    let [exact, ample] = [s.max_kv_bytes(), 1 << 20].map(|budget| {
+        let mut sim = two_leaf_sim();
+        serve_llm(
+            &mut sim,
+            &s,
+            &arrivals,
+            &Policy::Fifo,
+            &LlmServeConfig::new(1, 16, budget).with_slo_ns(5e6),
+        )
+        .expect("serve completes")
+    });
+    assert!(exact.kv.budget < ample.kv.budget);
+    assert_eq!(exact.completed, 8);
+    assert_eq!(exact.idle_jumps, 0, "the trace must queue");
+    assert_eq!(exact.kv.peak_resident, exact.kv.budget, "the slice fills");
+    for report in [&exact, &ample] {
+        assert_eq!(report.kv.evictions, 0, "one request in flight evicted");
+    }
+    let mut ample = ample;
+    ample.kv.budget = exact.kv.budget;
+    assert_eq!(
+        format!("{:?}", serde::Serialize::to_value(&exact)),
+        format!("{:?}", serde::Serialize::to_value(&ample)),
+        "the budget reached the report beyond kv.budget"
+    );
 }
 
 #[test]
