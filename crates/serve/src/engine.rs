@@ -31,6 +31,15 @@
 //! [`Histogram`]s (one overall, one per tenant), so p50/p99/p99.9 and
 //! goodput fall out of the existing percentile machinery.
 //!
+//! ## One loop, two engines
+//!
+//! Everything above — admission, refill, the idle jump, the barrier
+//! and clock skew, retirement and the report — is one private loop that
+//! [`crate::serve_llm`] runs too. An engine only says how an admitted
+//! request starts, how the batch's chains for one round are appended
+//! (tail by tail: does it retire, does it end the first token?) and how
+//! each request advances after the round.
+//!
 //! ## Determinism
 //!
 //! The engine is a deterministic function of (simulation, shape,
@@ -38,7 +47,8 @@
 //! seed, policies depend only on queue contents and admission counters,
 //! and the dispatcher is the PR 5 deterministic compiler. Serving the
 //! same trace twice on fresh simulations produces byte-identical
-//! reports — pinned by a proptest in `tests/serve_determinism.rs`.
+//! reports — pinned by the `seeded_serves_replay_byte_identically`
+//! proptest in `tests/serving.rs`.
 
 use crate::arrivals::Arrival;
 use crate::policy::Policy;
@@ -46,7 +56,7 @@ use crate::queue::{AdmissionQueue, Queued};
 use accesys::{RunError, Simulation};
 use accesys_sim::{units, Histogram};
 use accesys_workload::encoder_ops;
-use accesys_workload::graph::{append_chain, Affinity, TaskGraph, TaskKind};
+use accesys_workload::graph::{append_chain, Affinity, TaskGraph, TaskId, TaskKind};
 use accesys_workload::Op;
 
 /// What one request costs: an encoder of `slices` layers at a fixed
@@ -205,14 +215,6 @@ pub struct Completion {
     pub latency_ns: f64,
 }
 
-/// One in-flight request: a batch slot holder across rounds.
-struct Active {
-    id: u64,
-    tenant: u32,
-    arrival_ns: u64,
-    slices_left: u32,
-}
-
 /// Serve `arrivals` on `sim` to completion: every admitted request is
 /// batched, sliced, and retired; the report carries the percentile and
 /// goodput story. See the module docs for the model.
@@ -249,8 +251,132 @@ pub fn serve_traced(
     policy: &Policy,
     cfg: &ServeConfig,
 ) -> Result<(ServeReport, Vec<Completion>), RunError> {
-    let slice_ops = shape.slice_ops();
-    let slices = shape.slices.max(1);
+    let mut encoder = Encoder {
+        slice_ops: shape.slice_ops(),
+        slices: shape.slices.max(1),
+    };
+    run(sim, arrivals, policy, cfg, &mut encoder)
+}
+
+/// The encoder engine's rounds: one slice chain per in-flight request,
+/// spread over idle devices; a request's slot counts its slices left.
+struct Encoder {
+    slice_ops: Vec<Op>,
+    slices: u32,
+}
+
+impl Rounds for Encoder {
+    type Slot = u32;
+    type Error = RunError;
+
+    fn admit(&mut self) -> u32 {
+        self.slices
+    }
+
+    fn round(
+        &mut self,
+        graph: &mut TaskGraph,
+        batch: &[Active<u32>],
+        _round: u64,
+        chains: &mut Vec<(TaskId, Marks)>,
+    ) -> Result<(), RunError> {
+        for r in batch {
+            let tail = append_chain(
+                graph,
+                &self.slice_ops,
+                Affinity::AnyAccel,
+                None,
+                &format!("r{}.s{}", r.id, self.slices - r.slot),
+            )
+            .expect("encoder slices are non-empty");
+            let marks = Marks {
+                first_token: false,
+                retire: r.slot == 1,
+            };
+            chains.push((tail, marks));
+        }
+        Ok(())
+    }
+
+    fn advance(&mut self, _id: u64, slices_left: &mut u32) -> bool {
+        *slices_left -= 1;
+        *slices_left == 0
+    }
+}
+
+/// Which completion labels a request's chain carries this round.
+#[derive(Copy, Clone, Default)]
+pub(crate) struct Marks {
+    /// The chain's tail is the request's first generated token.
+    pub(crate) first_token: bool,
+    /// The chain is the request's last: it retires at the tail.
+    pub(crate) retire: bool,
+}
+
+/// One in-flight request: a batch slot holder across rounds.
+pub(crate) struct Active<S> {
+    pub(crate) id: u64,
+    tenant: u32,
+    arrival_ns: u64,
+    /// The labels its chain carries in the round being run.
+    marks: Marks,
+    /// The engine's per-request state.
+    pub(crate) slot: S,
+}
+
+/// What an engine supplies to the shared continuous-batching loop
+/// ([`run`]): how an admitted request starts, how the batch's chains
+/// for one round are appended, and how a request advances once its
+/// round has run. Admission, refill, the idle jump, the barrier, the
+/// serving-clock skew, retirement accounting and the report are the
+/// loop's.
+pub(crate) trait Rounds {
+    /// Per-request state carried across rounds.
+    type Slot;
+    /// What a serve can fail with; dispatch failures convert into it.
+    type Error: From<RunError>;
+
+    /// Start a request as it takes a batch slot.
+    fn admit(&mut self) -> Self::Slot;
+
+    /// Append one chain per request of `batch`, in order, to the graph
+    /// of round `round`: push each chain's tail and its [`Marks`] onto
+    /// `chains`. The loop labels the tails and joins them at a barrier.
+    fn round(
+        &mut self,
+        graph: &mut TaskGraph,
+        batch: &[Active<Self::Slot>],
+        round: u64,
+        chains: &mut Vec<(TaskId, Marks)>,
+    ) -> Result<(), Self::Error>;
+
+    /// A request's first token landed `latency_ns` after its arrival.
+    fn first_token(&mut self, _latency_ns: f64) {}
+
+    /// Advance request `id` past the round it just ran; `true` retires
+    /// it and frees its batch slot.
+    fn advance(&mut self, id: u64, slot: &mut Self::Slot) -> bool;
+}
+
+/// Completions per second of a serving-clock span of `elapsed_ns`.
+pub(crate) fn per_sec(n: u64, elapsed_ns: f64) -> f64 {
+    if elapsed_ns > 0.0 {
+        n as f64 / (elapsed_ns / 1e9)
+    } else {
+        0.0
+    }
+}
+
+/// The continuous-batching loop both engines run (see the module docs
+/// for the model): admit, refill the batch, jump idle gaps, run one
+/// barrier-joined round per iteration, retire on completion marks.
+pub(crate) fn run<R: Rounds>(
+    sim: &mut Simulation,
+    arrivals: &[Arrival],
+    policy: &Policy,
+    cfg: &ServeConfig,
+    engine: &mut R,
+) -> Result<(ServeReport, Vec<Completion>), R::Error> {
     let batch_cap = cfg.batch_cap.max(1);
     let tenant_count = arrivals
         .iter()
@@ -260,7 +386,8 @@ pub fn serve_traced(
 
     let mut policy = policy.clone();
     let mut queue = AdmissionQueue::new(cfg.queue_cap);
-    let mut active: Vec<Active> = Vec::new();
+    let mut active: Vec<Active<R::Slot>> = Vec::new();
+    let mut chains: Vec<(TaskId, Marks)> = Vec::new();
     let mut admitted_by_tenant = vec![0u64; tenant_count];
     let mut overall = Histogram::new();
     let mut by_tenant = vec![Histogram::new(); tenant_count];
@@ -304,7 +431,8 @@ pub fn serve_traced(
                 id: q.id,
                 tenant: q.tenant,
                 arrival_ns: q.arrival_ns,
-                slices_left: slices,
+                marks: Marks::default(),
+                slot: engine.admit(),
             });
         }
 
@@ -321,26 +449,22 @@ pub fn serve_traced(
         }
         peak_batch = peak_batch.max(active.len());
 
-        // 3. One round: one slice chain per in-flight request, joined
-        // at a barrier (the next admission point). Tail slices carry
-        // the request id as a completion label.
+        // 3. One round: one chain per in-flight request, joined at a
+        // barrier (the next admission point). A retiring chain's tail
+        // carries the request id as a completion label; a first-token
+        // tail that does not retire carries `t<id>`.
         let mut graph = TaskGraph::new();
-        let mut tails = Vec::with_capacity(active.len());
-        for r in &active {
-            let slice_index = slices - r.slices_left;
-            let tail = append_chain(
-                &mut graph,
-                &slice_ops,
-                Affinity::AnyAccel,
-                None,
-                &format!("r{}.s{}", r.id, slice_index),
-            )
-            .expect("encoder slices are non-empty");
-            if r.slices_left == 1 {
+        chains.clear();
+        engine.round(&mut graph, &active, session.rounds(), &mut chains)?;
+        for (r, &(tail, marks)) in active.iter_mut().zip(&chains) {
+            if marks.retire {
                 graph.set_completion(tail, r.id.to_string());
+            } else if marks.first_token {
+                graph.set_completion(tail, format!("t{}", r.id));
             }
-            tails.push(tail);
+            r.marks = marks;
         }
+        let tails = chains.iter().map(|&(tail, _)| tail).collect();
         graph.add("round", TaskKind::Barrier, Affinity::AnyAccel, tails);
 
         let run = session.extend(&graph)?;
@@ -349,17 +473,28 @@ pub fn serve_traced(
         let skew_ns = clock_ns - units::to_ns(run.start);
         clock_ns = units::to_ns(run.end) + skew_ns;
 
-        // 4. Retire: completion marks place each finishing request on
-        // the kernel clock; latency is arrival→retirement on the
-        // serving clock.
+        // 4. Retire: completion marks place each first token and each
+        // finishing request on the kernel clock; latency is
+        // arrival→mark on the serving clock.
         for (label, tick) in &run.completions {
-            let id: u64 = label.parse().expect("completion labels are request ids");
+            let id: u64 = label
+                .trim_start_matches('t')
+                .parse()
+                .expect("completion labels are request ids");
             let r = active
                 .iter()
                 .find(|r| r.id == id)
                 .expect("completion for an in-flight request");
             let done_ns = units::to_ns(*tick) + skew_ns;
             let latency_ns = done_ns - r.arrival_ns as f64;
+            // A chain that both retires and ends the first token (an
+            // LLM request with nothing to decode) reports both.
+            if r.marks.first_token {
+                engine.first_token(latency_ns);
+            }
+            if !r.marks.retire {
+                continue;
+            }
             overall.observe(latency_ns);
             by_tenant[r.tenant as usize].observe(latency_ns);
             trace.push(Completion {
@@ -374,21 +509,11 @@ pub fn serve_traced(
                 within_slo += 1;
             }
         }
-        for r in &mut active {
-            r.slices_left -= 1;
-        }
-        active.retain(|r| r.slices_left > 0);
+        active.retain_mut(|r| !engine.advance(r.id, &mut r.slot));
     }
 
     let rounds = session.rounds();
     let elapsed_ns = clock_ns - clock_start_ns;
-    let per_sec = |n: u64| {
-        if elapsed_ns > 0.0 {
-            n as f64 / (elapsed_ns / 1e9)
-        } else {
-            0.0
-        }
-    };
     let tenants = (0..tenant_count)
         .map(|t| TenantReport {
             tenant: t as u32,
@@ -410,9 +535,9 @@ pub fn serve_traced(
         idle_jumps,
         peak_batch,
         elapsed_ns,
-        offered_rps: per_sec(arrivals.len() as u64),
-        throughput_rps: per_sec(completed),
-        goodput_rps: per_sec(within_slo),
+        offered_rps: per_sec(arrivals.len() as u64, elapsed_ns),
+        throughput_rps: per_sec(completed, elapsed_ns),
+        goodput_rps: per_sec(within_slo, elapsed_ns),
         latency: LatencySummary::of(&overall),
         tenants,
     };

@@ -24,16 +24,17 @@
 //!   to host-retirement tick — lands in [`sim::hist`] histograms; the
 //!   [`ServeReport`] carries percentiles, goodput, and per-tenant
 //!   breakdowns.
-//! - [`llm`] — the autoregressive engine mode: [`serve_llm`] batches
-//!   mixed prefill/decode rounds (prefill on admission, one decode
-//!   slice per round, EOS-by-length retirement) with per-request KV
-//!   caches growing in per-device memory slices; capacity pressure
-//!   lowers to host-memory `Transfer` traffic and is reported in
-//!   [`KvReport`] next to time-to-first-token and decode-tokens/sec.
+//! - [`llm`] — the autoregressive engine: [`serve_llm`] runs the same
+//!   loop with its own round builder, batching mixed prefill/decode
+//!   rounds (prefill on admission, one decode slice per round,
+//!   EOS-by-length retirement) with per-request KV caches growing in
+//!   per-device memory slices; capacity pressure lowers to host-memory
+//!   `Transfer` traffic and is reported in [`KvReport`] next to
+//!   time-to-first-token and decode-tokens/sec.
 //!
 //! Determinism is end to end: a seeded spec replayed twice is
 //! byte-identical, and so is the report it produces — on one worker or
-//! many (`accesys exp serve --jobs 1` vs `--jobs 4` in CI).
+//! many (`accesys exp all --jobs 1` vs `--jobs 4` in CI).
 //!
 //! ## Quickstart
 //!

@@ -3,10 +3,11 @@
 //!
 //! ## The serving model
 //!
-//! Where [`crate::serve`] batches fixed encoder slices, a request here
-//! is autoregressive ([`LlmRequestShape`]): on admission it runs a
-//! **prefill** over its prompt, then one **decode slice per round**
-//! until it has generated [`LlmRequestShape::decode`] tokens
+//! This engine runs [`crate::serve`]'s continuous-batching loop; only
+//! its rounds differ. Where the encoder engine batches fixed slices, a
+//! request here is autoregressive ([`LlmRequestShape`]): on admission
+//! it runs a **prefill** over its prompt, then one **decode slice per
+//! round** until it has generated [`LlmRequestShape::decode`] tokens
 //! (EOS-by-length), then it retires and frees its batch slot — so every
 //! round's [`TaskGraph`] is a *mix* of whole-prompt prefill chains and
 //! skinny decode chains, generated incrementally on a
@@ -30,25 +31,26 @@
 //!
 //! ## Determinism
 //!
-//! Same contract as [`crate::serve`]: the engine is a deterministic
-//! function of (simulation, shape, arrivals, policy, config). KV
-//! eviction decisions are BTree-ordered LRU, device assignment is
-//! least-resident-then-lowest-index, and the dispatcher below is the
-//! PR 5 deterministic compiler — a replayed trace is byte-identical,
-//! report and all.
+//! Same contract as [`crate::serve`], on the same loop. What this
+//! engine adds is deterministic too: KV eviction decisions are
+//! BTree-ordered LRU and device assignment is
+//! least-resident-then-lowest-index — a replayed trace is
+//! byte-identical, report and all.
 //!
 //! [`GraphSession`]: accesys::GraphSession
 //! [`TaskGraph`]: accesys_workload::graph::TaskGraph
 //! [`TaskKind::Transfer`]: accesys_workload::graph::TaskKind::Transfer
 
 use crate::arrivals::Arrival;
-use crate::engine::{LatencySummary, TenantReport};
+use crate::engine::{
+    per_sec, run, Active, LatencySummary, Marks, Rounds, ServeConfig, TenantReport,
+};
 use crate::policy::Policy;
-use crate::queue::{AdmissionQueue, Queued};
 use accesys::{RunError, Simulation};
-use accesys_sim::{units, Histogram};
+use accesys_sim::Histogram;
 use accesys_workload::graph::{append_chain, Affinity, TaskGraph, TaskId, TaskKind};
 use accesys_workload::llm::{KvCache, KvError, KvEvent, LlmSpec};
+use accesys_workload::Op;
 
 /// What one autoregressive request costs: a prompt to prefill, then
 /// `decode` generated tokens (one per round) before EOS.
@@ -73,17 +75,12 @@ impl LlmRequestShape {
     }
 }
 
-/// LLM engine knobs: the [`crate::ServeConfig`] bounds plus the
-/// per-device KV budget.
+/// LLM engine knobs: the [`ServeConfig`] bounds and SLO (per whole
+/// request, arrival → EOS) plus the per-device KV budget.
 #[derive(Copy, Clone, Debug, serde::Serialize)]
 pub struct LlmServeConfig {
-    /// Max requests folded into one round (clamped to ≥ 1).
-    pub batch_cap: usize,
-    /// Admission-queue bound (clamped to ≥ 1).
-    pub queue_cap: usize,
-    /// Latency SLO in virtual nanoseconds (per whole request,
-    /// arrival → EOS); `f64::INFINITY` counts every completion.
-    pub slo_ns: f64,
+    /// Batch and queue bounds and the latency SLO.
+    pub serve: ServeConfig,
     /// Per-device KV-cache budget in bytes: the share of each device's
     /// `devmem` slice reserved for KV residency.
     pub kv_budget: u64,
@@ -93,16 +90,14 @@ impl LlmServeConfig {
     /// Bounds and budget with no SLO.
     pub fn new(batch_cap: usize, queue_cap: usize, kv_budget: u64) -> LlmServeConfig {
         LlmServeConfig {
-            batch_cap,
-            queue_cap,
-            slo_ns: f64::INFINITY,
+            serve: ServeConfig::new(batch_cap, queue_cap),
             kv_budget,
         }
     }
 
     /// The same bounds with a latency SLO.
     pub fn with_slo_ns(mut self, slo_ns: f64) -> LlmServeConfig {
-        self.slo_ns = slo_ns;
+        self.serve = self.serve.with_slo_ns(slo_ns);
         self
     }
 }
@@ -233,19 +228,6 @@ pub struct LlmServeReport {
     pub tenants: Vec<TenantReport>,
 }
 
-/// One in-flight autoregressive request.
-struct Active {
-    id: u64,
-    tenant: u32,
-    arrival_ns: u64,
-    /// KV home device; every chain of this request pins here.
-    device: usize,
-    /// Whether the prefill round has run.
-    prefilled: bool,
-    /// Decode tokens generated so far.
-    decoded: u32,
-}
-
 /// Serve autoregressive `arrivals` on `sim` to completion: prefill on
 /// admission, one decode slice per round with KV growth, retirement on
 /// EOS-by-length. See the module docs for the model.
@@ -275,111 +257,124 @@ pub fn serve_llm(
             budget: cfg.kv_budget,
         });
     }
-    let prefill_ops = shape.spec.prefill_ops(shape.prompt);
-    let kv_per_token = shape.spec.kv_bytes_per_token();
-    let batch_cap = cfg.batch_cap.max(1);
-    let tenant_count = arrivals
-        .iter()
-        .map(|a| a.tenant as usize + 1)
-        .max()
-        .unwrap_or(1);
+    let mut decoder = Decoder {
+        shape,
+        prefill_ops: shape.spec.prefill_ops(shape.prompt),
+        kv: KvCache::new(sim.accel_count(), cfg.kv_budget),
+        ttft: Histogram::new(),
+        mixed_rounds: 0,
+        tokens_decoded: 0,
+        transfer_tasks: 0,
+    };
+    let (report, _) = run(sim, arrivals, policy, &cfg.serve, &mut decoder)?;
+    let kv = &decoder.kv;
+    Ok(LlmServeReport {
+        offered: report.offered,
+        admitted: report.admitted,
+        completed: report.completed,
+        rejected: report.rejected,
+        rounds: report.rounds,
+        mixed_rounds: decoder.mixed_rounds,
+        idle_jumps: report.idle_jumps,
+        peak_batch: report.peak_batch,
+        tokens_decoded: decoder.tokens_decoded,
+        elapsed_ns: report.elapsed_ns,
+        offered_rps: report.offered_rps,
+        throughput_rps: report.throughput_rps,
+        goodput_rps: report.goodput_rps,
+        decode_tps: per_sec(decoder.tokens_decoded, report.elapsed_ns),
+        latency: report.latency,
+        ttft: LatencySummary::of(&decoder.ttft),
+        kv: KvReport {
+            budget: cfg.kv_budget,
+            peak_resident: kv.peak_resident(),
+            evictions: kv.evictions(),
+            evicted_bytes: kv.evicted_bytes(),
+            restores: kv.restores(),
+            restored_bytes: kv.restored_bytes(),
+            transfer_tasks: decoder.transfer_tasks,
+        },
+        tenants: report.tenants,
+    })
+}
 
-    let devices = sim.accel_count();
-    let mut kv = KvCache::new(devices, cfg.kv_budget);
-    let mut policy = policy.clone();
-    let mut queue = AdmissionQueue::new(cfg.queue_cap);
-    let mut active: Vec<Active> = Vec::new();
-    let mut admitted_by_tenant = vec![0u64; tenant_count];
-    let mut overall = Histogram::new();
-    let mut ttft_hist = Histogram::new();
-    let mut by_tenant = vec![Histogram::new(); tenant_count];
+/// The LLM engine's rounds: mixed prefill/decode chains pinned to each
+/// request's KV home, with KV growth claimed per chain.
+struct Decoder<'a> {
+    shape: &'a LlmRequestShape,
+    prefill_ops: Vec<Op>,
+    kv: KvCache,
+    /// Arrival → end-of-prefill latencies.
+    ttft: Histogram,
+    mixed_rounds: u64,
+    tokens_decoded: u64,
+    transfer_tasks: u64,
+}
 
-    let mut session = sim.graph_session();
-    let clock_start_ns = units::to_ns(session.opened_at());
-    let mut clock_ns = clock_start_ns;
-    let mut next_arrival = 0usize;
-    let mut completed = 0u64;
-    let mut within_slo = 0u64;
-    let mut mixed_rounds = 0u64;
-    let mut idle_jumps = 0u64;
-    let mut peak_batch = 0usize;
-    let mut tokens_decoded = 0u64;
-    let mut kv_transfer_tasks = 0u64;
+/// One in-flight autoregressive request.
+struct Slot {
+    /// KV home device; every chain of this request pins here.
+    device: usize,
+    /// Whether the prefill round has run.
+    prefilled: bool,
+    /// Decode tokens generated so far.
+    decoded: u32,
+}
 
-    loop {
-        // 1. Admission (identical to the encoder engine): arrivals at or
-        // before the serving clock enter the bounded queue.
-        while next_arrival < arrivals.len() && arrivals[next_arrival].at_ns as f64 <= clock_ns {
-            let a = arrivals[next_arrival];
-            let _ = queue.offer(Queued {
-                id: next_arrival as u64,
-                tenant: a.tenant,
-                arrival_ns: a.at_ns,
-            });
-            next_arrival += 1;
+impl Rounds for Decoder<'_> {
+    type Slot = Slot;
+    type Error = LlmServeError;
+
+    /// Each admitted request gets the device with the least resident
+    /// KV (ties to the lowest index) as its KV home — its prefill and
+    /// every decode slice pin there.
+    fn admit(&mut self) -> Slot {
+        let device = (0..self.kv.devices())
+            .min_by_key(|&d| (self.kv.resident_on(d), d))
+            .unwrap_or(0);
+        Slot {
+            device,
+            prefilled: false,
+            decoded: 0,
         }
+    }
 
-        // 2. Batch refill: each admitted request gets the device with
-        // the least resident KV (ties to the lowest index) as its KV
-        // home — its prefill and every decode slice pin there.
-        while active.len() < batch_cap {
-            let Some(index) = policy.pick(&queue, &admitted_by_tenant) else {
-                break;
-            };
-            let q = queue.take_at(index);
-            admitted_by_tenant[q.tenant as usize] += 1;
-            let device = (0..devices)
-                .min_by_key(|&d| (kv.resident_on(d), d))
-                .unwrap_or(0);
-            active.push(Active {
-                id: q.id,
-                tenant: q.tenant,
-                arrival_ns: q.arrival_ns,
-                device,
-                prefilled: false,
-                decoded: 0,
-            });
+    /// Per request, claim this round's KV growth (prefill claims the
+    /// whole prompt, decode claims one token), lower any
+    /// eviction/restore events as Transfer tasks the slice depends on,
+    /// then append the slice chain pinned to the KV home.
+    fn round(
+        &mut self,
+        graph: &mut TaskGraph,
+        batch: &[Active<Slot>],
+        round: u64,
+        chains: &mut Vec<(TaskId, Marks)>,
+    ) -> Result<(), LlmServeError> {
+        let shape = self.shape;
+        if batch.iter().any(|r| r.slot.prefilled) && batch.iter().any(|r| !r.slot.prefilled) {
+            self.mixed_rounds += 1;
         }
-
-        if active.is_empty() {
-            let Some(a) = arrivals.get(next_arrival) else {
-                break; // drained: queue empty, nothing in flight
-            };
-            clock_ns = clock_ns.max(a.at_ns as f64);
-            idle_jumps += 1;
-            continue;
-        }
-        peak_batch = peak_batch.max(active.len());
-
-        // 3. Build the round: per request, claim this round's KV growth
-        // (prefill claims the whole prompt, decode claims one token),
-        // lower any eviction/restore events as Transfer tasks the slice
-        // depends on, then append the slice chain pinned to the KV home.
-        let round = session.rounds();
-        let mut graph = TaskGraph::new();
-        let mut tails = Vec::with_capacity(active.len());
-        let mut prefills = 0usize;
-        let mut decodes = 0usize;
-        for r in &active {
-            let (ops, tag, tokens) = if r.prefilled {
+        for r in batch {
+            let s = &r.slot;
+            let (ops, tag, tokens) = if s.prefilled {
                 (
-                    shape.spec.decode_ops(shape.prompt.max(1) + r.decoded),
-                    format!("d{}", r.decoded),
+                    shape.spec.decode_ops(shape.prompt.max(1) + s.decoded),
+                    format!("d{}", s.decoded),
                     1u64,
                 )
             } else {
                 (
-                    prefill_ops.clone(),
+                    self.prefill_ops.clone(),
                     "p".to_string(),
                     u64::from(shape.prompt.max(1)),
                 )
             };
-            if r.prefilled {
-                decodes += 1;
-            } else {
-                prefills += 1;
-            }
-            let events = kv.claim(r.id, r.device, tokens.saturating_mul(kv_per_token), round)?;
+            let events = self.kv.claim(
+                r.id,
+                s.device,
+                tokens.saturating_mul(shape.spec.kv_bytes_per_token()),
+                round,
+            )?;
             let mut prev: Option<TaskId> = None;
             for ev in events {
                 let (name, bytes) = match ev {
@@ -390,136 +385,47 @@ pub fn serve_llm(
                         (format!("r{}.kv.restore.r{request}", r.id), bytes)
                     }
                 };
-                kv_transfer_tasks += 1;
+                self.transfer_tasks += 1;
                 let deps = prev.into_iter().collect();
                 prev =
                     Some(graph.add(name, TaskKind::Transfer { bytes }, Affinity::AnyAccel, deps));
             }
             let tail = append_chain(
-                &mut graph,
+                graph,
                 &ops,
-                Affinity::Pinned(r.device),
+                Affinity::Pinned(s.device),
                 prev,
                 &format!("r{}.{tag}", r.id),
             )
             .expect("llm op lists are non-empty");
-            // Completion labels: the tail of the retiring slice carries
-            // the request id; a prefill that is not the last slice
-            // carries `t<id>` for time-to-first-token.
-            let retires = if r.prefilled {
-                r.decoded + 1 >= shape.decode
-            } else {
-                shape.decode == 0
+            // The prefill ends the first token; the request retires
+            // with its last decode slice, or at prefill if it decodes
+            // nothing.
+            let marks = Marks {
+                first_token: !s.prefilled,
+                retire: s.decoded + u32::from(s.prefilled) >= shape.decode,
             };
-            if retires {
-                graph.set_completion(tail, r.id.to_string());
-            } else if !r.prefilled {
-                graph.set_completion(tail, format!("t{}", r.id));
-            }
-            tails.push(tail);
+            chains.push((tail, marks));
         }
-        graph.add("round", TaskKind::Barrier, Affinity::AnyAccel, tails);
-        if prefills > 0 && decodes > 0 {
-            mixed_rounds += 1;
-        }
-
-        let run = session.extend(&graph)?;
-        let skew_ns = clock_ns - units::to_ns(run.start);
-        clock_ns = units::to_ns(run.end) + skew_ns;
-
-        // 4. Retire and advance: completion marks place TTFT and EOS on
-        // the serving clock; retired requests free their KV and slot.
-        for (label, tick) in &run.completions {
-            let (is_ttft, id_str) = match label.strip_prefix('t') {
-                Some(rest) => (true, rest),
-                None => (false, label.as_str()),
-            };
-            let id: u64 = id_str.parse().expect("completion labels are request ids");
-            let r = active
-                .iter()
-                .find(|r| r.id == id)
-                .expect("completion for an in-flight request");
-            let latency_ns = (units::to_ns(*tick) + skew_ns) - r.arrival_ns as f64;
-            if is_ttft {
-                ttft_hist.observe(latency_ns);
-            } else {
-                // EOS: for zero-decode shapes the prefill tail is also
-                // the first token, so TTFT coincides with the latency.
-                if !r.prefilled {
-                    ttft_hist.observe(latency_ns);
-                }
-                overall.observe(latency_ns);
-                by_tenant[r.tenant as usize].observe(latency_ns);
-                completed += 1;
-                if latency_ns <= cfg.slo_ns {
-                    within_slo += 1;
-                }
-            }
-        }
-        for r in &mut active {
-            if r.prefilled {
-                r.decoded += 1;
-                tokens_decoded += 1;
-            } else {
-                r.prefilled = true;
-            }
-        }
-        active.retain(|r| {
-            let done = r.decoded >= shape.decode;
-            if done {
-                kv.release(r.id);
-            }
-            !done
-        });
+        Ok(())
     }
 
-    let rounds = session.rounds();
-    let elapsed_ns = clock_ns - clock_start_ns;
-    let per_sec = |n: u64| {
-        if elapsed_ns > 0.0 {
-            n as f64 / (elapsed_ns / 1e9)
+    fn first_token(&mut self, latency_ns: f64) {
+        self.ttft.observe(latency_ns);
+    }
+
+    /// Count the decoded token; a request at EOS frees its KV.
+    fn advance(&mut self, id: u64, s: &mut Slot) -> bool {
+        if s.prefilled {
+            s.decoded += 1;
+            self.tokens_decoded += 1;
         } else {
-            0.0
+            s.prefilled = true;
         }
-    };
-    let tenants = (0..tenant_count)
-        .map(|t| TenantReport {
-            tenant: t as u32,
-            admitted: admitted_by_tenant[t],
-            rejected: queue
-                .rejected_by_tenant()
-                .get(t)
-                .copied()
-                .unwrap_or_default(),
-            latency: LatencySummary::of(&by_tenant[t]),
-        })
-        .collect();
-    Ok(LlmServeReport {
-        offered: arrivals.len() as u64,
-        admitted: admitted_by_tenant.iter().sum(),
-        completed,
-        rejected: queue.rejected(),
-        rounds,
-        mixed_rounds,
-        idle_jumps,
-        peak_batch,
-        tokens_decoded,
-        elapsed_ns,
-        offered_rps: per_sec(arrivals.len() as u64),
-        throughput_rps: per_sec(completed),
-        goodput_rps: per_sec(within_slo),
-        decode_tps: per_sec(tokens_decoded),
-        latency: LatencySummary::of(&overall),
-        ttft: LatencySummary::of(&ttft_hist),
-        kv: KvReport {
-            budget: cfg.kv_budget,
-            peak_resident: kv.peak_resident(),
-            evictions: kv.evictions(),
-            evicted_bytes: kv.evicted_bytes(),
-            restores: kv.restores(),
-            restored_bytes: kv.restored_bytes(),
-            transfer_tasks: kv_transfer_tasks,
-        },
-        tenants,
-    })
+        let done = s.decoded >= self.shape.decode;
+        if done {
+            self.kv.release(id);
+        }
+        done
+    }
 }
