@@ -67,10 +67,7 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = u32, Out = ClusterRow
 /// the machine-readable sweep value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment(cli.scale), |r| {
-        print(
-            &r.points.iter().map(|(_, c)| c.clone()).collect::<Vec<_>>(),
-            cli.scale,
-        )
+        print(&r.outputs().cloned().collect::<Vec<_>>(), cli.scale)
     })
 }
 

@@ -64,13 +64,7 @@ pub fn run_cli(cli: &Cli) -> serde::Value {
     let result = experiment(cli.scale).run(cli.jobs);
     crate::cli::note_wall(&result);
     if !cli.json {
-        print(
-            &result
-                .points
-                .iter()
-                .map(|(_, r)| r.clone())
-                .collect::<Vec<_>>(),
-        );
+        print(&result.outputs().cloned().collect::<Vec<_>>());
     }
     serde::Serialize::to_value(&result)
 }

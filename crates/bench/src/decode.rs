@@ -29,6 +29,7 @@
 //! their bars.
 
 use crate::cli::Cli;
+use crate::serve::goodput_gain;
 use crate::topo::parse_shape;
 use crate::Scale;
 use accesys_exp::pool::map_ordered;
@@ -145,13 +146,6 @@ fn row_of(
     batched: &LlmServeReport,
     sequential: &LlmServeReport,
 ) -> DecodeRow {
-    let gain = if sequential.goodput_rps > 0.0 {
-        batched.goodput_rps / sequential.goodput_rps
-    } else if batched.goodput_rps > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
     DecodeRow {
         rate_rps: rate,
         shape: shape.to_string(),
@@ -174,7 +168,7 @@ fn row_of(
         kv_transfer_tasks: batched.kv.transfer_tasks,
         goodput_rps: batched.goodput_rps,
         sequential_goodput_rps: sequential.goodput_rps,
-        goodput_gain: gain,
+        goodput_gain: goodput_gain(batched.goodput_rps, sequential.goodput_rps),
     }
 }
 
@@ -307,11 +301,7 @@ pub fn experiment_for(sc: &DecodeScenario, scale: Scale) -> DecodeSweep {
 /// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &DecodeScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
-        print_for(
-            sc,
-            &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
-            cli.scale,
-        )
+        print_for(sc, &r.outputs().cloned().collect::<Vec<_>>(), cli.scale)
     })
 }
 

@@ -75,11 +75,7 @@ pub fn run_jobs(scale: Scale, jobs: Jobs) -> Vec<ThresholdRow> {
 pub fn run_cli(cli: &Cli) -> serde::Value {
     let result = experiment(cli.scale).run(cli.jobs);
     crate::cli::note_wall(&result);
-    let rows = fit(&result
-        .points
-        .iter()
-        .map(|(_, c)| c.clone())
-        .collect::<Vec<_>>());
+    let rows = fit(&result.outputs().cloned().collect::<Vec<_>>());
     let mut value = serde::Serialize::to_value(&result);
     if let serde::Value::Map(entries) = &mut value {
         entries.push(("rows".to_string(), serde::Serialize::to_value(&rows)));

@@ -226,10 +226,7 @@ pub fn experiment_for(sc: &FleetScenario, scale: Scale) -> FleetSweep {
 /// any `--jobs`.
 pub fn run_cli_for(sc: &FleetScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
-        print_for(
-            sc,
-            &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
-        )
+        print_for(sc, &r.outputs().cloned().collect::<Vec<_>>())
     })
 }
 

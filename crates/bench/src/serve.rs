@@ -92,13 +92,6 @@ pub fn measure_for(sc: &ServingScenario, rate: f64, shape: &str, scale: Scale) -
     let endpoints: u32 = levels.iter().product();
     let batched = serve_once(sc, rate, &levels, sc.policy.batch_cap.cap(endpoints), scale);
     let sequential = serve_once(sc, rate, &levels, 1, scale);
-    let gain = if sequential.goodput_rps > 0.0 {
-        batched.goodput_rps / sequential.goodput_rps
-    } else if batched.goodput_rps > 0.0 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
     ServeRow {
         rate_rps: rate,
         shape: shape.to_string(),
@@ -113,7 +106,19 @@ pub fn measure_for(sc: &ServingScenario, rate: f64, shape: &str, scale: Scale) -
         p999_ns: batched.latency.p999_ns,
         goodput_rps: batched.goodput_rps,
         sequential_goodput_rps: sequential.goodput_rps,
-        goodput_gain: gain,
+        goodput_gain: goodput_gain(batched.goodput_rps, sequential.goodput_rps),
+    }
+}
+
+/// Batched over sequential goodput: ∞ when only the batched serve met
+/// the SLO, 1.0 when neither did.
+pub(crate) fn goodput_gain(batched_rps: f64, sequential_rps: f64) -> f64 {
+    if sequential_rps > 0.0 {
+        batched_rps / sequential_rps
+    } else if batched_rps > 0.0 {
+        f64::INFINITY
+    } else {
+        1.0
     }
 }
 
@@ -131,11 +136,7 @@ pub fn experiment_for(
 /// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &ServingScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
-        print_for(
-            sc,
-            &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
-            cli.scale,
-        )
+        print_for(sc, &r.outputs().cloned().collect::<Vec<_>>(), cli.scale)
     })
 }
 
@@ -211,6 +212,13 @@ mod tests {
             accesys_spec::Scenario::Serving(sc) => sc,
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn goodput_gain_is_the_ratio_with_infinite_and_even_edges() {
+        assert_eq!(goodput_gain(300.0, 100.0), 3.0);
+        assert_eq!(goodput_gain(5.0, 0.0), f64::INFINITY);
+        assert_eq!(goodput_gain(0.0, 0.0), 1.0);
     }
 
     #[test]

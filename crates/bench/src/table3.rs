@@ -34,7 +34,7 @@ pub fn experiment() -> impl Experiment<Point = MemTech, Out = TechRow> {
 /// the machine-readable value.
 pub fn run_cli(cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment(), |r| {
-        print(&r.points.iter().map(|(_, t)| t.clone()).collect::<Vec<_>>())
+        print(&r.outputs().cloned().collect::<Vec<_>>())
     })
 }
 

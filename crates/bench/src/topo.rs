@@ -79,11 +79,7 @@ pub fn experiment_for(
 /// return the machine-readable sweep value.
 pub fn run_cli_for(sc: &TopoScenario, cli: &Cli) -> serde::Value {
     crate::cli::run_sweep_cli(cli, &experiment_for(sc, cli.scale), |r| {
-        print_for(
-            sc,
-            &r.points.iter().map(|(_, p)| p.clone()).collect::<Vec<_>>(),
-            cli.scale,
-        )
+        print_for(sc, &r.outputs().cloned().collect::<Vec<_>>(), cli.scale)
     })
 }
 
