@@ -307,9 +307,9 @@ impl Rounds for Encoder {
 /// Which completion labels a request's chain carries this round.
 #[derive(Copy, Clone, Default)]
 pub(crate) struct Marks {
-    /// The chain's tail is the request's first generated token.
+    /// The tail ends the request's first token (labelled `t<id>`).
     pub(crate) first_token: bool,
-    /// The chain is the request's last: it retires at the tail.
+    /// The tail retires the request (labelled `<id>`).
     pub(crate) retire: bool,
 }
 
@@ -318,30 +318,25 @@ pub(crate) struct Active<S> {
     pub(crate) id: u64,
     tenant: u32,
     arrival_ns: u64,
-    /// The labels its chain carries in the round being run.
+    /// Its chain's marks in the round being run.
     marks: Marks,
     /// The engine's per-request state.
     pub(crate) slot: S,
 }
 
-/// What an engine supplies to the shared continuous-batching loop
-/// ([`run`]): how an admitted request starts, how the batch's chains
-/// for one round are appended, and how a request advances once its
-/// round has run. Admission, refill, the idle jump, the barrier, the
-/// serving-clock skew, retirement accounting and the report are the
-/// loop's.
+/// What an engine adds to the shared loop ([`run`]); the loop never
+/// asks which engine it serves.
 pub(crate) trait Rounds {
     /// Per-request state carried across rounds.
     type Slot;
-    /// What a serve can fail with; dispatch failures convert into it.
+    /// What a serve fails with; dispatch failures convert into it.
     type Error: From<RunError>;
 
-    /// Start a request as it takes a batch slot.
+    /// The state of a request taking a batch slot.
     fn admit(&mut self) -> Self::Slot;
 
-    /// Append one chain per request of `batch`, in order, to the graph
-    /// of round `round`: push each chain's tail and its [`Marks`] onto
-    /// `chains`. The loop labels the tails and joins them at a barrier.
+    /// Append one chain per request of `batch`, in order, to round
+    /// `round`'s graph, pushing each chain's tail and marks to `chains`.
     fn round(
         &mut self,
         graph: &mut TaskGraph,
@@ -350,11 +345,10 @@ pub(crate) trait Rounds {
         chains: &mut Vec<(TaskId, Marks)>,
     ) -> Result<(), Self::Error>;
 
-    /// A request's first token landed `latency_ns` after its arrival.
+    /// A first token landed `latency_ns` after its request arrived.
     fn first_token(&mut self, _latency_ns: f64) {}
 
-    /// Advance request `id` past the round it just ran; `true` retires
-    /// it and frees its batch slot.
+    /// Step request `id` past the round it ran; `true` retires it.
     fn advance(&mut self, id: u64, slot: &mut Self::Slot) -> bool;
 }
 
