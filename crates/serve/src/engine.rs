@@ -450,6 +450,7 @@ pub(crate) fn run<R: Rounds>(
         let mut graph = TaskGraph::new();
         chains.clear();
         engine.round(&mut graph, &active, session.rounds(), &mut chains)?;
+        assert_eq!(chains.len(), active.len(), "one chain per request");
         for (r, &(tail, marks)) in active.iter_mut().zip(&chains) {
             if marks.retire {
                 graph.set_completion(tail, r.id.to_string());
