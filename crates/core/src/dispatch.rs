@@ -57,8 +57,8 @@
 use crate::system::Simulation;
 use crate::{RunError, RunReport, VitReport};
 use accesys_accel::AccelJob;
-use accesys_cpu::CpuOp;
-use accesys_sim::{units, Tick};
+use accesys_cpu::{CpuComplex, CpuOp};
+use accesys_sim::{units, Msg, RunLimit, Tick};
 use accesys_workload::graph::{Affinity, TaskGraph, TaskId, TaskKind};
 
 /// How the dispatcher scheduled one graph: compile-time facts, useful
@@ -94,21 +94,18 @@ pub(crate) struct CompiledGraph {
     pub plan: DispatchPlan,
 }
 
-/// One timed dispatch: everything [`Simulation::run_graph_planned`]
-/// reports plus the absolute kernel ticks that anchor it on the shared
-/// simulation clock — the serving layer's admission points. The kernel
-/// clock is monotone across successive dispatches on the same
-/// [`Simulation`], so `start`/`end` of consecutive rounds tile the
+/// One [`GraphSession::extend`] round: only what the serving engines
+/// read. The full phase/job/stat report of a dispatch comes from
+/// [`Simulation::run_graph_planned`]; a round skips building it.
+///
+/// The kernel clock is monotone across successive dispatches on the
+/// same [`Simulation`], so `start`/`end` of consecutive rounds tile the
 /// timeline and `completions` place individual requests inside it.
 #[derive(Clone, Debug)]
-pub struct GraphRun {
-    /// Phase/job/stat report, exactly as [`Simulation::run_graph`].
-    pub report: VitReport,
-    /// Compile-time scheduling shape.
-    pub plan: DispatchPlan,
-    /// Kernel tick at which the compiled program started.
+pub struct SessionRound {
+    /// Kernel tick at which the round's program started.
     pub start: Tick,
-    /// Kernel tick at which the last task retired (program end).
+    /// Kernel tick at which the round's last task retired.
     pub end: Tick,
     /// `(label, tick)` for every completion-labeled task
     /// ([`TaskGraph::set_completion`]), at the absolute tick the host
@@ -117,20 +114,6 @@ pub struct GraphRun {
     /// completion: a job whose MSI was latched while the CPU waited
     /// elsewhere completes when the CPU reaches its wait point, which
     /// is when a real driver would return the response.
-    pub completions: Vec<(String, Tick)>,
-}
-
-/// One [`GraphSession::extend`] round: only what the serving engines
-/// read. The full phase/job/stat report of a dispatch lives on
-/// [`Simulation::run_graph_timed`]; a round skips building it.
-#[derive(Clone, Debug)]
-pub struct SessionRound {
-    /// Kernel tick at which the round's program started.
-    pub start: Tick,
-    /// Kernel tick at which the round's last task retired.
-    pub end: Tick,
-    /// `(label, tick)` for every completion-labeled task, as
-    /// [`GraphRun::completions`].
     pub completions: Vec<(String, Tick)>,
 }
 
@@ -144,8 +127,13 @@ impl Simulation {
     /// Compile `graph` into a CPU program + job enqueue list without
     /// touching the kernel or the cookie counter (so a compile error
     /// leaves the simulation untouched — a retry compiles the exact
-    /// same program a fresh simulation would).
-    pub(crate) fn compile_graph(&mut self, graph: &TaskGraph) -> Result<CompiledGraph, RunError> {
+    /// same program a fresh simulation would). With `functional` every
+    /// GEMM job carries generated operands ([`Simulation::layout_job`]).
+    pub(crate) fn compile_graph(
+        &self,
+        graph: &TaskGraph,
+        functional: bool,
+    ) -> Result<CompiledGraph, RunError> {
         graph
             .validate(self.accel_count())
             .map_err(|e| RunError::InvalidGraph(e.to_string()))?;
@@ -164,10 +152,10 @@ impl Simulation {
         let mut jobs: Vec<(usize, AccelJob)> = Vec::new();
         // Cookies are drawn from a local counter and committed to the
         // simulation only on success, so a failed compile consumes none
-        // (same sequence as Simulation::alloc_cookie).
+        // (cookie `i` of the simulation's run is `i % 1000`).
         let cookie_base = self.peek_cookie();
         let mut next_cookie = 0u64;
-        let mut alloc_cookie = move || {
+        let mut draw_cookie = move || {
             let c = (cookie_base + next_cookie) % 1000;
             next_cookie += 1;
             c
@@ -241,8 +229,8 @@ impl Simulation {
                     Affinity::Pinned(d) => d,
                     Affinity::AnyAccel => 0,
                 };
-                let cookie = alloc_cookie();
-                jobs.push((dev, self.layout_job(&spec, cookie, None, dev)));
+                let cookie = draw_cookie();
+                jobs.push((dev, self.layout_job(&spec, cookie, dev, functional)));
                 program.push(CpuOp::Mark {
                     label: format!("gemm:{}", graph.task(t).name),
                 });
@@ -274,8 +262,8 @@ impl Simulation {
                 let Some(dev) = dev else {
                     continue; // no idle eligible device: stays pending
                 };
-                let cookie = alloc_cookie();
-                jobs.push((dev, self.layout_job(&spec, cookie, None, dev)));
+                let cookie = draw_cookie();
+                jobs.push((dev, self.layout_job(&spec, cookie, dev, functional)));
                 program.push(CpuOp::Mark {
                     label: format!("gemm:{}", graph.task(t).name),
                 });
@@ -469,83 +457,98 @@ impl Simulation {
         &mut self,
         graph: &TaskGraph,
     ) -> Result<(VitReport, DispatchPlan), RunError> {
-        self.run_graph_timed(graph).map(|r| (r.report, r.plan))
-    }
-
-    /// [`Simulation::run_graph_planned`] plus the absolute kernel ticks
-    /// of the run and of every completion-labeled task
-    /// ([`TaskGraph::set_completion`]) — see [`GraphRun`]. The serving
-    /// layer uses this to place request completions on the shared
-    /// simulation clock across successive batching rounds.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::run_graph`].
-    pub fn run_graph_timed(&mut self, graph: &TaskGraph) -> Result<GraphRun, RunError> {
-        // Compiling touches no kernel state, so the job records taken
-        // here are the ones from before the enqueue.
+        let compiled = self.compile_graph(graph, self.config().functional)?;
+        let plan = compiled.plan;
         let before = self.record_marks();
-        let (plan, round) = self.dispatch_graph(graph)?;
+        let round = self.run_compiled(compiled)?;
         let phases = self
             .cpu_marks()
             .windows(2)
             .map(|pair| (pair[0].0.clone(), units::to_ns(pair[1].1 - pair[0].1)))
             .collect();
-        Ok(GraphRun {
-            report: VitReport {
-                total_ticks: round.end - round.start,
-                phases,
-                jobs: self.records_since(&before),
-                stats: self.stats(),
-            },
-            plan,
-            start: round.start,
-            end: round.end,
-            completions: round.completions,
-        })
-    }
-
-    /// Compile `graph`, enqueue its jobs and run its program to the end:
-    /// the dispatch core under [`Simulation::run_graph_timed`] and
-    /// [`GraphSession::extend`].
-    fn dispatch_graph(
-        &mut self,
-        graph: &TaskGraph,
-    ) -> Result<(DispatchPlan, SessionRound), RunError> {
-        let compiled = self.compile_graph(graph)?;
-        self.commit_cookies(compiled.plan.launches);
-        for (dev, job) in compiled.jobs {
-            self.enqueue(job, dev);
-        }
-        let start = self.kernel().now();
-        let elapsed = self.run_program(compiled.program)?;
-        let completions = self
-            .cpu_marks()
-            .iter()
-            .filter_map(|(label, tick)| label.strip_prefix("done:").map(|l| (l.to_string(), *tick)))
-            .collect();
-        let round = SessionRound {
-            start,
-            end: start + elapsed,
-            completions,
+        let report = VitReport {
+            total_ticks: round.end - round.start,
+            phases,
+            jobs: self.records_since(&before),
+            stats: self.stats(),
         };
-        Ok((compiled.plan, round))
+        Ok((report, plan))
     }
 
     /// Execute `graph` and report as a [`RunReport`] (GEMM-shaped
-    /// workloads: fork-join shards, multi-GEMM mixes).
+    /// workloads: single jobs, fork-join shards, multi-GEMM mixes).
     ///
     /// # Errors
     ///
     /// As [`Simulation::run_graph`].
     pub fn run_graph_gemm(&mut self, graph: &TaskGraph) -> Result<RunReport, RunError> {
-        let report = self.run_graph(graph)?;
+        let compiled = self.compile_graph(graph, self.config().functional)?;
+        self.run_compiled_gemm(compiled)
+    }
+
+    /// Run a compiled GEMM-shaped graph and report its jobs, SMMU and
+    /// module counters.
+    pub(crate) fn run_compiled_gemm(
+        &mut self,
+        compiled: CompiledGraph,
+    ) -> Result<RunReport, RunError> {
+        let before = self.record_marks();
+        let round = self.run_compiled(compiled)?;
         Ok(RunReport {
-            total_ticks: report.total_ticks,
-            jobs: report.jobs,
+            total_ticks: round.end - round.start,
+            jobs: self.records_since(&before),
             smmu: self.smmu_stats(),
-            stats: report.stats,
+            stats: self.stats(),
         })
+    }
+
+    /// Compile `graph` (operands attached as `cfg.functional` says) and
+    /// run it: the dispatch core under [`Simulation::run_stream`] and
+    /// [`GraphSession::extend`].
+    pub(crate) fn dispatch_graph(&mut self, graph: &TaskGraph) -> Result<SessionRound, RunError> {
+        let compiled = self.compile_graph(graph, self.config().functional)?;
+        self.run_compiled(compiled)
+    }
+
+    /// Enqueue `compiled`'s jobs, run its CPU program to the end and
+    /// read the completion marks off the CPU.
+    fn run_compiled(&mut self, compiled: CompiledGraph) -> Result<SessionRound, RunError> {
+        self.commit_cookies(compiled.plan.launches);
+        for (dev, job) in compiled.jobs {
+            self.enqueue(job, dev);
+        }
+        let start = self.kernel().now();
+        let cpu = self.handles().cpu;
+        let kernel = self.kernel_mut();
+        kernel
+            .module_mut::<CpuComplex>(cpu)
+            .expect("cpu present")
+            .load_program(compiled.program);
+        kernel.schedule(start, cpu, Msg::Timer(0));
+        kernel.run(RunLimit::default())?;
+        let end = kernel
+            .module::<CpuComplex>(cpu)
+            .expect("cpu present")
+            .finished_at()
+            .ok_or_else(|| RunError::NoCompletion("cpu program did not finish".into()))?;
+        let completions = self
+            .cpu_marks()
+            .iter()
+            .filter_map(|(label, tick)| label.strip_prefix("done:").map(|l| (l.to_string(), *tick)))
+            .collect();
+        Ok(SessionRound {
+            start,
+            end,
+            completions,
+        })
+    }
+
+    /// The `(label, tick)` marks of the last program run.
+    fn cpu_marks(&self) -> &[(String, Tick)] {
+        self.kernel()
+            .module::<CpuComplex>(self.handles().cpu)
+            .expect("cpu present")
+            .marks()
     }
 
     /// Open an incremental dispatch session: the serving engines extend
@@ -576,9 +579,9 @@ impl Simulation {
 ///   ended (the kernel clock never rewinds between extends; asserted,
 ///   so a regression fails loudly instead of silently folding time).
 /// * **Deterministic** — an extend dispatches exactly as
-///   [`Simulation::run_graph_timed`] on the shared simulation: same
-///   session, same graph sequence, same ticks, byte for byte. It returns
-///   a [`SessionRound`] (start, end, completions), not the full report.
+///   [`Simulation::run_graph`] on the shared simulation: same session,
+///   same graph sequence, same ticks, byte for byte. It returns a
+///   [`SessionRound`] (start, end, completions), not the full report.
 ///
 /// ```
 /// use accesys::{Simulation, SystemConfig};
@@ -613,7 +616,7 @@ impl GraphSession<'_> {
     /// Panics if the kernel clock ran backwards between rounds — a
     /// broken invariant, not an input error.
     pub fn extend(&mut self, graph: &TaskGraph) -> Result<SessionRound, RunError> {
-        let (_, run) = self.sim.dispatch_graph(graph)?;
+        let run = self.sim.dispatch_graph(graph)?;
         assert!(
             run.start >= self.last_end,
             "graph session clock ran backwards: round {} started at {} before the previous end {}",
@@ -740,7 +743,7 @@ mod tests {
                 deps,
             ));
         }
-        let compiled = sim.compile_graph(&g).unwrap();
+        let compiled = sim.compile_graph(&g, false).unwrap();
         let mut streams = 0;
         for op in &compiled.program {
             if let CpuOp::Stream {
@@ -842,10 +845,10 @@ mod tests {
         // Full ViT-Large/Huge graphs and paper-scale pipeline chains
         // exceed 128 MiB of activations; the wrap keeps them
         // compilable (pre-wrap this was a guaranteed error).
-        let mut sim = Simulation::new(SystemConfig::paper_baseline()).unwrap();
+        let sim = Simulation::new(SystemConfig::paper_baseline()).unwrap();
         for model in [VitModel::Large, VitModel::Huge] {
             let ops = accesys_workload::vit_full_ops(model);
-            let compiled = sim.compile_graph(&op_chain(&ops)).unwrap();
+            let compiled = sim.compile_graph(&op_chain(&ops), false).unwrap();
             assert!(!compiled.program.is_empty(), "{model} compiles");
         }
     }
@@ -990,7 +993,7 @@ mod tests {
         g.set_completion(a, "req0");
         g.set_completion(b, "req1");
         g.set_completion(bar, "round");
-        let run = sim.run_graph_timed(&g).unwrap();
+        let run = sim.graph_session().extend(&g).unwrap();
         assert_eq!(run.completions.len(), 3);
         let tick_of = |label: &str| {
             run.completions
@@ -1013,10 +1016,10 @@ mod tests {
             Affinity::Pinned(0),
             vec![],
         );
-        let run2 = unlabeled.run_graph_timed(&g2).unwrap();
+        let run2 = unlabeled.graph_session().extend(&g2).unwrap();
         assert!(run2.completions.is_empty());
-        assert!(run2
-            .report
+        let (report2, _) = unlabeled.run_graph_planned(&g2).unwrap();
+        assert!(report2
             .phases
             .iter()
             .all(|(label, _)| !label.starts_with("done:")));
@@ -1031,7 +1034,7 @@ mod tests {
         let mut g = op_chain(&ops);
         let tail = g.len() - 1;
         g.set_completion(tail, "req0");
-        let run = sim.run_graph_timed(&g).unwrap();
+        let run = sim.graph_session().extend(&g).unwrap();
         assert_eq!(run.completions.len(), 1);
         assert_eq!(run.completions[0].0, "req0");
         assert_eq!(run.completions[0].1, run.end);
@@ -1052,7 +1055,7 @@ mod tests {
                 vec![],
             );
             g.set_completion(t, format!("req{i}"));
-            let run = sim.run_graph_timed(&g).unwrap();
+            let run = sim.graph_session().extend(&g).unwrap();
             assert!(run.start >= last_end);
             assert!(run.end > run.start);
             last_end = run.end;
@@ -1123,16 +1126,18 @@ mod tests {
 
     #[test]
     fn graph_session_matches_direct_dispatch() {
-        // A session dispatches exactly as run_graph_timed: the same
+        // A session dispatches exactly as direct dispatch: the same
         // graph sequence on fresh simulations produces identical ticks
-        // and completions.
+        // and completions whether the rounds share one session or each
+        // dispatch opens its own, and every round lasts exactly the
+        // total run_graph reports.
         let mut g = small_pipeline(2, 2);
         for t in [0, g.len() / 2, g.len() - 1] {
             g.set_completion(t, format!("task{t}"));
         }
         let mut direct = tree_sim(&[2]);
-        let a = direct.run_graph_timed(&g).unwrap();
-        let b = direct.run_graph_timed(&g).unwrap();
+        let a = direct.graph_session().extend(&g).unwrap();
+        let b = direct.graph_session().extend(&g).unwrap();
         assert_eq!(a.completions.len(), 3);
         let mut sessioned = tree_sim(&[2]);
         let mut session = sessioned.graph_session();
@@ -1142,5 +1147,10 @@ mod tests {
         assert_eq!((sb.start, sb.end), (b.start, b.end));
         assert_eq!(sa.completions, a.completions);
         assert_eq!(sb.completions, b.completions);
+        let mut reported = tree_sim(&[2]);
+        for round in [sa, sb] {
+            let report = reported.run_graph(&g).unwrap();
+            assert_eq!(report.total_ticks, round.end - round.start);
+        }
     }
 }

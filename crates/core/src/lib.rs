@@ -40,7 +40,10 @@
 //! mirror is the task-graph layer: workloads are
 //! [`accesys_workload::graph::TaskGraph`]s (chains, fork-join shards,
 //! pipelines, tenant mixes) executed by the dependency-driven
-//! dispatcher ([`Simulation::run_graph`]). The [`analytic`] module
+//! dispatcher ([`Simulation::run_graph`]). Every run goes through it:
+//! [`Simulation::run_gemm`] and [`Simulation::run_stream`] dispatch
+//! one-task graphs, and the dispatcher's compiler is the only code that
+//! writes the CPU driver program. The [`analytic`] module
 //! implements the paper's Section V-D workload-composition model
 //! (Fig. 9 thresholds), and [`addrmap`] documents the simulated
 //! physical address map.
@@ -57,7 +60,7 @@ pub mod topology;
 pub use config::{
     AccessMode, InterconnectKind, MemBackendConfig, MemoryLocation, PcieConfig, SystemConfig,
 };
-pub use dispatch::{DispatchPlan, GraphRun, GraphSession, SessionRound};
+pub use dispatch::{DispatchPlan, GraphSession, SessionRound};
 pub use error::{BuildError, Error, RunError};
 pub use report::{RunReport, VitReport};
 pub use system::Simulation;

@@ -2,18 +2,20 @@
 //!
 //! System *construction* lives in [`crate::topology`]: [`Simulation::new`]
 //! lowers the [`SystemConfig`] to a [`TopologySpec`] and lets the generic
-//! wiring engine instantiate it, so this module only drives workloads
-//! (doorbells, programs, sharding) and assembles reports.
+//! wiring engine instantiate it. CPU programs live in the dispatcher
+//! (`dispatch.rs`), which compiles every workload's task graph — a single
+//! GEMM or stream is a one-task graph — so this module only lowers
+//! workloads to graphs and lays out and enqueues accelerator jobs.
 
 use crate::addrmap;
 use crate::topology::{DeviceHandles, TopologyHandles, TopologySpec};
 use crate::{BuildError, MemoryLocation, RunError, RunReport, SystemConfig, VitReport};
 use accesys_accel::{AccelController, AccelJob, GemmOperands};
-use accesys_cpu::{CpuComplex, CpuOp};
 use accesys_interconnect::AddrRange;
-use accesys_sim::{units, Kernel, ModuleId, Msg, RunLimit, Stats, Tick};
+use accesys_sim::{units, Kernel, ModuleId, Stats};
 use accesys_smmu::{Smmu, SmmuStats};
-use accesys_workload::{graph, vit_ops, GemmSpec, VitModel};
+use accesys_workload::graph::{self, Affinity, TaskGraph, TaskKind};
+use accesys_workload::{vit_ops, GemmSpec, VitModel};
 use std::sync::Arc;
 
 /// A built system ready to run workloads.
@@ -114,12 +116,6 @@ impl Simulation {
         self.kernel.stats()
     }
 
-    pub(crate) fn alloc_cookie(&mut self) -> u64 {
-        let c = self.next_cookie % 1000;
-        self.next_cookie += 1;
-        c
-    }
-
     /// The next cookie value without consuming it (the graph compiler
     /// draws from a local counter and commits only on success).
     pub(crate) fn peek_cookie(&self) -> u64 {
@@ -157,13 +153,15 @@ impl Simulation {
 
     /// Lay out one GEMM job in device `device`'s configured data window
     /// (each device works in its own slice so concurrent shards never
-    /// alias rows).
+    /// alias rows). With `functional` the job carries operands generated
+    /// from `spec`, so the accelerator also computes the product — the
+    /// only place operands are attached.
     pub(crate) fn layout_job(
         &self,
         spec: &GemmSpec,
         cookie: u64,
-        functional: Option<Arc<GemmOperands>>,
         device: usize,
+        functional: bool,
     ) -> AccelJob {
         let d = self.device(device);
         let (a_sz, b_sz, _c_sz) =
@@ -185,7 +183,16 @@ impl Simulation {
             data_target: d.data_target,
             msi_addr: addrmap::MSI.base,
             cookie,
-            functional,
+            functional: functional.then(|| {
+                let (a, b) = spec.generate_operands();
+                Arc::new(GemmOperands::new(
+                    spec.m as usize,
+                    spec.n as usize,
+                    spec.k as usize,
+                    a,
+                    b,
+                ))
+            }),
         }
     }
 
@@ -195,37 +202,6 @@ impl Simulation {
             .module_mut::<AccelController>(ctrl)
             .expect("controller present")
             .enqueue_job(job);
-    }
-
-    /// Run `program` on the CPU to completion; returns its elapsed
-    /// ticks (its marks stay readable through [`Simulation::cpu_marks`]).
-    pub(crate) fn run_program(&mut self, program: Vec<CpuOp>) -> Result<Tick, RunError> {
-        let start = self.kernel.now();
-        {
-            let cpu = self
-                .kernel
-                .module_mut::<CpuComplex>(self.topo.cpu)
-                .expect("cpu present");
-            cpu.load_program(program);
-        }
-        self.kernel.schedule(start, self.topo.cpu, Msg::Timer(0));
-        self.kernel.run(RunLimit::default())?;
-        let cpu = self
-            .kernel
-            .module::<CpuComplex>(self.topo.cpu)
-            .expect("cpu present");
-        let end = cpu
-            .finished_at()
-            .ok_or_else(|| RunError::NoCompletion("cpu program did not finish".into()))?;
-        Ok(end - start)
-    }
-
-    /// The `(label, tick)` marks of the last program run.
-    pub(crate) fn cpu_marks(&self) -> &[(String, Tick)] {
-        self.kernel
-            .module::<CpuComplex>(self.topo.cpu)
-            .expect("cpu present")
-            .marks()
     }
 
     pub(crate) fn record_marks(&self) -> Vec<usize> {
@@ -277,26 +253,15 @@ impl Simulation {
     }
 
     /// Run one GEMM through the full system (driver doorbell → DMA →
-    /// compute → MSI) and report.
+    /// compute → MSI) and report: a one-task graph, the GEMM `job` on
+    /// device 0.
     ///
     /// # Errors
     ///
     /// Returns [`RunError`] if the simulation livelocks or the program
     /// never observes the completion interrupt.
     pub fn run_gemm(&mut self, spec: GemmSpec) -> Result<RunReport, RunError> {
-        let functional = if self.cfg.functional {
-            let (a, b) = spec.generate_operands();
-            Some(Arc::new(GemmOperands::new(
-                spec.m as usize,
-                spec.n as usize,
-                spec.k as usize,
-                a,
-                b,
-            )))
-        } else {
-            None
-        };
-        self.run_gemm_with(spec, functional).map(|(r, _)| r)
+        self.run_graph_gemm(&gemm_job(spec))
     }
 
     /// Run one GEMM and verify the functional result against a golden
@@ -306,48 +271,12 @@ impl Simulation {
     ///
     /// Returns [`RunError`] as [`Simulation::run_gemm`] does.
     pub fn run_gemm_verified(&mut self, spec: GemmSpec) -> Result<(RunReport, bool), RunError> {
-        let (a, b) = spec.generate_operands();
-        let ops = Arc::new(GemmOperands::new(
-            spec.m as usize,
-            spec.n as usize,
-            spec.k as usize,
-            a,
-            b,
-        ));
-        let (report, ops) = self.run_gemm_with(spec, Some(ops))?;
-        let ops = ops.expect("operands attached");
-        let passed = ops.result().map(|r| r == ops.golden()).unwrap_or(false);
+        let compiled = self.compile_graph(&gemm_job(spec), true)?;
+        let (_, job) = &compiled.jobs[0];
+        let ops = job.functional.clone().expect("operands attached");
+        let report = self.run_compiled_gemm(compiled)?;
+        let passed = ops.result().is_some_and(|r| r == ops.golden());
         Ok((report, passed))
-    }
-
-    fn run_gemm_with(
-        &mut self,
-        spec: GemmSpec,
-        functional: Option<Arc<GemmOperands>>,
-    ) -> Result<(RunReport, Option<Arc<GemmOperands>>), RunError> {
-        let cookie = self.alloc_cookie();
-        let job = self.layout_job(&spec, cookie, functional.clone(), 0);
-        let before = self.record_marks();
-        self.enqueue(job, 0);
-        let program = vec![
-            CpuOp::Mark {
-                label: "gemm:job".into(),
-            },
-            CpuOp::LaunchJob {
-                doorbell_addr: self.device(0).doorbell,
-                job_cookie: cookie,
-            },
-        ];
-        let elapsed = self.run_program(program)?;
-        Ok((
-            RunReport {
-                total_ticks: elapsed,
-                jobs: self.records_since(&before),
-                smmu: self.smmu_stats(),
-                stats: self.stats(),
-            },
-            functional,
-        ))
     }
 
     /// Run one GEMM split row-wise across **all** devices: shard `i`
@@ -400,7 +329,9 @@ impl Simulation {
         )))
     }
 
-    /// Run a single CPU streaming kernel (used by NUMA micro-studies).
+    /// Run a single CPU streaming kernel (used by NUMA micro-studies):
+    /// a one-task `Stream` graph named `stream`, from the base of the
+    /// claimed activation windows. Returns its elapsed ns.
     ///
     /// # Errors
     ///
@@ -413,35 +344,15 @@ impl Simulation {
         write_bytes: u64,
         flops: u64,
     ) -> Result<f64, RunError> {
-        let (read_win, write_win) = self.act_windows();
-        if read_bytes > read_win.size {
-            return Err(RunError::ActWindowOverflow {
-                window: "read",
-                needed_end: read_win.base + read_bytes,
-                limit: read_win.base + read_win.size,
-            });
-        }
-        if write_bytes > write_win.size {
-            return Err(RunError::ActWindowOverflow {
-                window: "write",
-                needed_end: write_win.base + write_bytes,
-                limit: write_win.base + write_win.size,
-            });
-        }
-        let program = vec![
-            CpuOp::Mark {
-                label: "nongemm:stream".into(),
-            },
-            CpuOp::Stream {
-                read_bytes,
-                write_bytes,
-                flops,
-                read_addr: read_win.base,
-                write_addr: write_win.base,
-            },
-        ];
-        let elapsed = self.run_program(program)?;
-        Ok(units::to_ns(elapsed))
+        let mut g = TaskGraph::new();
+        let kind = TaskKind::Stream {
+            read_bytes,
+            write_bytes,
+            flops,
+        };
+        g.add("stream", kind, Affinity::AnyAccel, vec![]);
+        let round = self.dispatch_graph(&g)?;
+        Ok(units::to_ns(round.end - round.start))
     }
 
     /// Ids useful for tests and instrumentation: `(cpu, llc, host_mem,
@@ -478,6 +389,15 @@ impl Simulation {
             by_name("membus"),
         )
     }
+}
+
+/// The one-task graph [`Simulation::run_gemm`] dispatches: a GEMM named
+/// `job` pinned to device 0. The compiler issues it on its synchronous
+/// fast path, as `Mark "gemm:job"` then a blocking `LaunchJob`.
+fn gemm_job(spec: GemmSpec) -> TaskGraph {
+    let mut g = TaskGraph::new();
+    g.add("job", TaskKind::Gemm(spec), Affinity::Pinned(0), vec![]);
+    g
 }
 
 #[cfg(test)]
