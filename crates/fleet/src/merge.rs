@@ -10,7 +10,7 @@
 
 use crate::host::{HostResult, WireHist};
 use crate::{FleetError, FleetSpec};
-use accesys_serve::LatencySummary;
+use accesys_serve::{per_sec, LatencySummary};
 use accesys_sim::Histogram;
 
 /// One tenant's slice of the fleet.
@@ -135,13 +135,6 @@ pub fn merge(spec: &FleetSpec, mut results: Vec<HostResult>) -> Result<FleetRepo
         }
     }
 
-    let per_sec = |n: u64| {
-        if makespan_ns > 0.0 {
-            n as f64 / (makespan_ns / 1e9)
-        } else {
-            0.0
-        }
-    };
     let tenants = by_tenant
         .into_iter()
         .enumerate()
@@ -166,9 +159,9 @@ pub fn merge(spec: &FleetSpec, mut results: Vec<HostResult>) -> Result<FleetRepo
         peak_batch,
         elapsed_ns,
         makespan_ns,
-        offered_rps: per_sec(offered),
-        throughput_rps: per_sec(completed),
-        goodput_rps: per_sec(within_slo),
+        offered_rps: per_sec(offered, makespan_ns),
+        throughput_rps: per_sec(completed, makespan_ns),
+        goodput_rps: per_sec(within_slo, makespan_ns),
         latency: LatencySummary::of(&e2e),
         network: LatencySummary::of(&network),
         tenants,

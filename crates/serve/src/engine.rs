@@ -352,8 +352,10 @@ pub(crate) trait Rounds {
     fn advance(&mut self, id: u64, slot: &mut Self::Slot) -> bool;
 }
 
-/// Completions per second of a serving-clock span of `elapsed_ns`.
-pub(crate) fn per_sec(n: u64, elapsed_ns: f64) -> f64 {
+/// Completions per second of a serving-clock span of `elapsed_ns`
+/// (0 for an empty span). Both serving engines and the fleet merge
+/// report their rates through it.
+pub fn per_sec(n: u64, elapsed_ns: f64) -> f64 {
     if elapsed_ns > 0.0 {
         n as f64 / (elapsed_ns / 1e9)
     } else {

@@ -75,8 +75,8 @@ pub mod queue;
 
 pub use arrivals::{Arrival, ArrivalSpec};
 pub use engine::{
-    serve, serve_traced, Completion, LatencySummary, RequestShape, ServeConfig, ServeReport,
-    TenantReport,
+    per_sec, serve, serve_traced, Completion, LatencySummary, RequestShape, ServeConfig,
+    ServeReport, TenantReport,
 };
 pub use llm::{
     serve_llm, KvReport, LlmRequestShape, LlmServeConfig, LlmServeError, LlmServeReport,

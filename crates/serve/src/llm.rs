@@ -356,15 +356,13 @@ impl Rounds for Decoder<'_> {
         }
         for r in batch {
             let s = &r.slot;
-            let (ops, tag, tokens) = if s.prefilled {
-                (
-                    shape.spec.decode_ops(shape.prompt.max(1) + s.decoded),
-                    format!("d{}", s.decoded),
-                    1u64,
-                )
+            let decode_ops;
+            let (ops, tag, tokens): (&[Op], _, _) = if s.prefilled {
+                decode_ops = shape.spec.decode_ops(shape.prompt.max(1) + s.decoded);
+                (&decode_ops, format!("d{}", s.decoded), 1u64)
             } else {
                 (
-                    self.prefill_ops.clone(),
+                    &self.prefill_ops,
                     "p".to_string(),
                     u64::from(shape.prompt.max(1)),
                 )
@@ -392,7 +390,7 @@ impl Rounds for Decoder<'_> {
             }
             let tail = append_chain(
                 graph,
-                &ops,
+                ops,
                 Affinity::Pinned(s.device),
                 prev,
                 &format!("r{}.{tag}", r.id),
