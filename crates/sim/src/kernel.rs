@@ -268,11 +268,6 @@ impl Kernel {
         self.tracer = Some(tracer);
     }
 
-    /// Remove and return the installed tracer, if any.
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
-    }
-
     /// Downcast the installed tracer for inspection.
     pub fn tracer<T: Tracer>(&self) -> Option<&T> {
         self.tracer.as_ref()?.as_any().downcast_ref::<T>()

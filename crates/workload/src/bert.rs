@@ -6,7 +6,7 @@
 //! — so this module reuses the ViT operator construction with BERT
 //! dimensions, demonstrating the workload generator's generality.
 
-use crate::{Op, OpKind, VitModel};
+use crate::{Op, VitModel};
 
 /// BERT variants (Devlin et al., NAACL 2019).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
@@ -85,34 +85,6 @@ pub fn bert_ops(model: BertModel, seq_len: u32) -> Vec<Op> {
     crate::vit::encoder_layer_ops(seq_len, twin.hidden(), twin.heads(), twin.mlp_dim())
 }
 
-/// The embedding stage: token + segment + position lookups fused into
-/// one streaming gather over `seq_len × hidden`, plus the embedding
-/// LayerNorm.
-pub fn bert_embed_ops(model: BertModel, seq_len: u32) -> Vec<Op> {
-    let s = u64::from(seq_len);
-    let h = u64::from(model.hidden());
-    let d = 4u64;
-    vec![
-        // Three table lookups + sum, written once.
-        Op::non_gemm(
-            "embed_lookup",
-            OpKind::Residual,
-            3 * s * h * d,
-            s * h * d,
-            2 * s * h,
-            1,
-        ),
-        Op::non_gemm(
-            "embed_ln",
-            OpKind::LayerNorm,
-            s * h * d,
-            s * h * d,
-            8 * s * h,
-            1,
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,14 +135,6 @@ mod tests {
         assert_eq!(BertModel::Large.hidden(), 1024);
         assert_eq!(BertModel::Large.layers(), 24);
         assert_eq!(BertModel::Large.heads(), 16);
-    }
-
-    #[test]
-    fn embed_stage_touches_three_tables() {
-        let ops = bert_embed_ops(BertModel::Base, 128);
-        assert_eq!(ops.len(), 2);
-        let lookup = &ops[0];
-        assert_eq!(lookup.read_bytes, 3 * 128 * 768 * 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   device 0. This reproduces the pre-graph sequential drivers exactly.
 //! * [`gemm_fork_join`] — one row-shard per device, joined by a barrier
 //!   (the old bespoke `run_gemm_sharded` loop).
-//! * [`pipelined_encoder`] / [`pipelined_vit`] — encoder layers split
+//! * [`pipelined_encoder`] — encoder layers split
 //!   into per-device pipeline stages; a batch of images streams through,
 //!   activations transferred hop to hop between stages.
 //! * [`head_parallel_attention`] — QKV heads fan out across devices and
@@ -152,7 +152,7 @@ impl std::error::Error for GraphError {}
 ///
 /// Build one with [`TaskGraph::add`] (dependencies may reference any
 /// task, including later ones via [`TaskGraph::add_dep`]), or use a
-/// lowering ([`op_chain`], [`gemm_fork_join`], [`pipelined_vit`], …).
+/// lowering ([`op_chain`], [`gemm_fork_join`], [`pipelined_encoder`], …).
 /// Validate against a device count before dispatching.
 ///
 /// ```
@@ -469,9 +469,6 @@ pub struct PipelineSpec {
 /// the activation tensor (`seq × hidden × 4` bytes), and different
 /// images occupy different stages concurrently — the dispatcher overlaps
 /// them across devices.
-///
-/// Used directly by scaled-down experiments; [`pipelined_vit`] applies
-/// it to the real ViT geometries.
 pub fn pipelined_encoder(
     seq: u32,
     hidden: u32,
@@ -508,19 +505,6 @@ pub fn pipelined_encoder(
         }
     }
     g
-}
-
-/// [`pipelined_encoder`] at a real ViT geometry: encoder layers of
-/// `model` pipelined across `p.devices` accelerators (e.g. the leaves of
-/// a `topology::switch_tree`), activations transferred hop to hop.
-pub fn pipelined_vit(model: VitModel, p: &PipelineSpec) -> TaskGraph {
-    pipelined_encoder(
-        model.seq_len(),
-        model.hidden(),
-        model.heads(),
-        model.mlp_dim(),
-        p,
-    )
 }
 
 /// **Head-parallel attention**: one encoder layer of `model` where the
@@ -767,13 +751,14 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_vit_stages_pin_to_distinct_devices() {
+    fn pipelined_encoder_stages_pin_to_distinct_devices() {
         let p = PipelineSpec {
             layers: 4,
             images: 2,
             devices: 2,
         };
-        let g = pipelined_vit(VitModel::Base, &p);
+        let m = VitModel::Base;
+        let g = pipelined_encoder(m.seq_len(), m.hidden(), m.heads(), m.mlp_dim(), &p);
         assert!(g.validate(2).is_ok());
         // Layers 0-1 pin to device 0, layers 2-3 to device 1.
         let pins: std::collections::BTreeSet<usize> = g

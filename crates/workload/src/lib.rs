@@ -26,7 +26,7 @@ pub mod graph;
 pub mod llm;
 mod vit;
 
-pub use bert::{bert_embed_ops, bert_ops, BertModel};
+pub use bert::{bert_ops, BertModel};
 pub use gemm::GemmSpec;
 pub use vit::{
     encoder_ops, vit_embed_ops, vit_full_ops, vit_head_ops, vit_ops, Op, OpKind, VitModel,
