@@ -662,7 +662,8 @@ mod tests {
         gemm_fork_join, head_parallel_attention, op_chain, pipelined_encoder, two_tenant_mix,
         PipelineSpec, TaskGraph,
     };
-    use accesys_workload::{encoder_ops, BertModel, GemmSpec, VitModel};
+    use accesys_workload::llm::{moe_token_route, speculative_fork_verify, LlmSpec};
+    use accesys_workload::{encoder_ops, vit_ops, BertModel, GemmSpec, VitModel};
 
     /// A multi-accelerator tree where device parallelism can actually
     /// show: every leaf holds its working set in local device memory (no
@@ -1122,6 +1123,112 @@ mod tests {
         let round = session.extend(&g).unwrap();
         assert_eq!(session.rounds(), 1);
         assert_eq!(session.now(), round.end);
+    }
+
+    /// FNV-1a over the `Debug` form of a compile's output: program ops,
+    /// job list and plan, byte for byte.
+    fn compile_digest(sim: &Simulation, graph: &TaskGraph) -> u64 {
+        let c = sim.compile_graph(graph, false).expect("graph compiles");
+        format!("{:?}", (&c.program, &c.jobs, c.plan))
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn compiled_programs_are_pinned() {
+        // The compiler's exact output for one graph of every shape the
+        // workloads lower to. Any change to issue order, device choice,
+        // cookies, wait sets, completion-mark placement or plan counters
+        // changes a digest.
+        let llm = LlmSpec::tiny();
+        let mut labeled = small_pipeline(3, 4);
+        for t in 0..labeled.len() {
+            labeled.set_completion(t, format!("t{t}"));
+        }
+        // A GEMM nothing depends on, next to an independent stream: the
+        // stream runs while the GEMM is in flight, then the dispatcher
+        // blocks with no waitable task and drains every cookie.
+        let mut unjoined = TaskGraph::new();
+        let lone = unjoined.add(
+            "lone",
+            TaskKind::Gemm(GemmSpec::square(64)),
+            Affinity::AnyAccel,
+            vec![],
+        );
+        let side = unjoined.add(
+            "side",
+            TaskKind::Stream {
+                read_bytes: 1 << 16,
+                write_bytes: 1 << 16,
+                flops: 0,
+            },
+            Affinity::AnyAccel,
+            vec![],
+        );
+        unjoined.set_completion(lone, "lone");
+        unjoined.set_completion(side, "side");
+        let baseline = Simulation::new(SystemConfig::paper_baseline()).unwrap();
+        let tree = tree_sim(&[4]);
+        let cases: [(&str, &Simulation, TaskGraph, u64); 10] = [
+            (
+                "vit_base_chain",
+                &baseline,
+                op_chain(&vit_ops(VitModel::Base)),
+                0x4c3c_fb26_4f8b_bb9f,
+            ),
+            (
+                "fork_join",
+                &tree,
+                gemm_fork_join(GemmSpec::square(256), 4),
+                0xfacf_9e63_abc8_82ef,
+            ),
+            (
+                "pipelined_encoder",
+                &tree,
+                small_pipeline(3, 4),
+                0xe1e8_3dcb_49ac_235a,
+            ),
+            ("pipelined_labeled", &tree, labeled, 0xee06_6bbd_84a1_6ca5),
+            (
+                "head_parallel",
+                &tree,
+                head_parallel_attention(VitModel::Base),
+                0xd047_d322_24ae_2582,
+            ),
+            (
+                "two_tenant",
+                &tree,
+                two_tenant_mix(VitModel::Base, BertModel::Base, 128),
+                0x8230_49ef_efa1_883c,
+            ),
+            (
+                "moe",
+                &tree,
+                moe_token_route(&llm, 16, 8, 4),
+                0xca41_0ab5_188d_2130,
+            ),
+            (
+                "speculative",
+                &tree,
+                speculative_fork_verify(&llm, 32, 4, 4),
+                0xb3b9_f691_fc37_e992,
+            ),
+            (
+                "prefill",
+                &tree,
+                llm.prefill_graph(2, 16),
+                0xde77_60d3_f7e5_9d98,
+            ),
+            ("unjoined", &tree, unjoined, 0x6aa8_7ec2_28f3_e007),
+        ];
+        let got: Vec<(&str, u64)> = cases
+            .iter()
+            .map(|(name, sim, g, _)| (*name, compile_digest(sim, g)))
+            .collect();
+        let want: Vec<(&str, u64)> = cases.iter().map(|(name, _, _, d)| (*name, *d)).collect();
+        assert_eq!(got, want, "compiled programs drifted");
     }
 
     #[test]
