@@ -8,8 +8,9 @@
 //!   [`Simulation::run_gemm_verified`] on the same simulation (so the
 //!   cookie sequence and the kernel clock carry over), with its
 //!   functional check;
-//! * the elapsed ns of [`Simulation::run_stream`] on the host and the
-//!   device-memory systems (two streams each, one after the other);
+//! * the elapsed ns of a one-task `Stream` graph run through
+//!   [`Simulation::run_graph`] on the host and the device-memory systems
+//!   (two streams each, one after the other);
 //! * the typed error of a stream larger than its activation window,
 //!   read side and write side.
 //!
@@ -19,8 +20,9 @@
 //! [`RunReport`]: accesys::RunReport
 
 use accesys::addrmap::ACT_SPLIT;
-use accesys::{Simulation, SystemConfig};
+use accesys::{RunError, Simulation, SystemConfig};
 use accesys_mem::MemTech;
+use accesys_workload::graph::{Affinity, TaskGraph, TaskKind};
 use accesys_workload::GemmSpec;
 use serde::{Serialize, Value};
 
@@ -33,6 +35,24 @@ fn systems() -> [(&'static str, SystemConfig); 3] {
         ("devmem_hbm2", SystemConfig::devmem(MemTech::Hbm2)),
         ("cxl_host_8_ddr4", SystemConfig::cxl_host(8, MemTech::Ddr4)),
     ]
+}
+
+/// Run one CPU stream as a one-task graph named `stream`, from the base
+/// of the activation windows; its elapsed ns.
+fn stream(
+    sim: &mut Simulation,
+    read_bytes: u64,
+    write_bytes: u64,
+    flops: u64,
+) -> Result<f64, RunError> {
+    let mut g = TaskGraph::new();
+    let kind = TaskKind::Stream {
+        read_bytes,
+        write_bytes,
+        flops,
+    };
+    g.add("stream", kind, Affinity::AnyAccel, vec![]);
+    Ok(sim.run_graph(&g)?.total_time_ns())
 }
 
 fn entry(key: &str, value: Value) -> (String, Value) {
@@ -64,16 +84,12 @@ fn single_gemm_and_stream_runs_match_the_pinned_snapshot_byte_for_byte() {
         ("devmem", SystemConfig::devmem(MemTech::Hbm2)),
     ] {
         let mut sim = Simulation::new(cfg).expect("valid preset");
-        let first = sim
-            .run_stream(1 << 20, 1 << 20, 1 << 16)
-            .expect("stream runs");
-        let second = sim.run_stream(256 << 10, 64 << 10, 0).expect("stream runs");
-        let read_err = sim
-            .run_stream(ACT_SPLIT + 1, 0, 0)
-            .expect_err("oversized read is rejected");
-        let write_err = sim
-            .run_stream(0, ACT_SPLIT + 1, 0)
-            .expect_err("oversized write is rejected");
+        let first = stream(&mut sim, 1 << 20, 1 << 20, 1 << 16).expect("stream runs");
+        let second = stream(&mut sim, 256 << 10, 64 << 10, 0).expect("stream runs");
+        let read_err =
+            stream(&mut sim, ACT_SPLIT + 1, 0, 0).expect_err("oversized read is rejected");
+        let write_err =
+            stream(&mut sim, 0, ACT_SPLIT + 1, 0).expect_err("oversized write is rejected");
         streams.push(entry(
             name,
             Value::Map(vec![
@@ -103,6 +119,6 @@ fn single_gemm_and_stream_runs_match_the_pinned_snapshot_byte_for_byte() {
     assert_eq!(
         json.trim(),
         GOLDEN.trim(),
-        "run_gemm / run_gemm_verified / run_stream drifted from the pinned snapshot"
+        "run_gemm / run_gemm_verified / one-stream runs drifted from the pinned snapshot"
     );
 }

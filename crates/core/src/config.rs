@@ -157,8 +157,6 @@ pub struct SystemConfig {
     /// Maintain hardware coherence between the accelerator path and the
     /// CPU caches at the LLC (DC mode only).
     pub coherent: bool,
-    /// Compute functional GEMM results (tests; costs host CPU time).
-    pub functional: bool,
 }
 
 impl SystemConfig {
@@ -193,7 +191,6 @@ impl SystemConfig {
             dma: DmaEngineConfig::default(),
             accel: AccelControllerConfig::default(),
             coherent: true,
-            functional: false,
         }
     }
 

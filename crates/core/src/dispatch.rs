@@ -20,19 +20,19 @@
 //!
 //! 1. **Barriers** settle the moment their dependencies complete; they
 //!    cost nothing and emit nothing.
-//! 2. **Synchronous fast path**: when exactly one GEMM is ready, no CPU
-//!    task is ready and nothing is in flight, it is issued as a blocking
-//!    `LaunchJob` — exactly the program the pre-graph sequential drivers
+//! 2. **GEMM issue**: every ready GEMM is issued, in task-id order, to
+//!    its pinned device if idle, or (for [`Affinity::AnyAccel`]) to the
+//!    lowest-index idle device. Ready GEMMs that find no idle eligible
+//!    device stay pending. A GEMM issues `LaunchAsync` — except a lone
+//!    ready GEMM with no CPU task ready and nothing in flight, which
+//!    issues as a blocking `LaunchJob` (the *sync* variant) and retires
+//!    on the spot: exactly the program the pre-graph sequential drivers
 //!    emitted, which is what keeps chain lowerings byte-identical to
 //!    them.
-//! 3. **GEMM issue**: every ready GEMM is issued `LaunchAsync`, in task-id
-//!    order, to its pinned device if idle, or (for
-//!    [`Affinity::AnyAccel`]) to the lowest-index idle device. Ready
-//!    GEMMs that find no idle eligible device stay pending.
-//! 4. **CPU issue**: every ready `Stream`/`Transfer` task then runs
+//! 3. **CPU issue**: every ready `Stream`/`Transfer` task then runs
 //!    inline, in task-id order — the CPU streams while the launched jobs
 //!    are still in flight.
-//! 5. **Wait**: when nothing can issue, the dispatcher looks at the
+//! 4. **Wait**: when nothing can issue, the dispatcher looks at the
 //!    smallest-id blocked task whose unmet dependencies are all in
 //!    flight. If that task joins *everything* in flight (a fork-join
 //!    barrier), it emits one `WaitAll` over all cookies — the old
@@ -70,7 +70,7 @@ pub struct DispatchPlan {
     pub tasks: usize,
     /// Accelerator jobs issued (sync + async).
     pub launches: u64,
-    /// Jobs issued through the synchronous `LaunchJob` fast path.
+    /// Jobs issued as a blocking `LaunchJob` (the sync variant).
     pub sync_launches: u64,
     /// Jobs issued `LaunchAsync` (overlappable).
     pub async_launches: u64,
@@ -127,13 +127,8 @@ impl Simulation {
     /// Compile `graph` into a CPU program + job enqueue list without
     /// touching the kernel or the cookie counter (so a compile error
     /// leaves the simulation untouched — a retry compiles the exact
-    /// same program a fresh simulation would). With `functional` every
-    /// GEMM job carries generated operands ([`Simulation::layout_job`]).
-    pub(crate) fn compile_graph(
-        &self,
-        graph: &TaskGraph,
-        functional: bool,
-    ) -> Result<CompiledGraph, RunError> {
+    /// same program a fresh simulation would).
+    pub(crate) fn compile_graph(&self, graph: &TaskGraph) -> Result<CompiledGraph, RunError> {
         graph
             .validate(self.accel_count())
             .map_err(|e| RunError::InvalidGraph(e.to_string()))?;
@@ -165,11 +160,13 @@ impl Simulation {
             ..DispatchPlan::default()
         };
         let deps_met = |done: &[bool], t: TaskId| graph.task(t).deps.iter().all(|&d| done[d]);
-        // Completion-labeled tasks get a `done:<label>` mark at the
-        // program position where the host retires them, so the mark
+        // The host retires `t` at this program position. Completion-
+        // labeled tasks get a `done:<label>` mark there, so the mark
         // timeline carries absolute completion ticks. Unlabeled graphs
         // emit nothing — their programs stay byte-identical.
-        let mark_done = |program: &mut Vec<CpuOp>, t: TaskId| {
+        let retire = |t: TaskId, done: &mut [bool], count: &mut usize, program: &mut Vec<CpuOp>| {
+            done[t] = true;
+            *count += 1;
             if let Some(label) = &graph.task(t).completion {
                 program.push(CpuOp::Mark {
                     label: format!("done:{label}"),
@@ -187,10 +184,8 @@ impl Simulation {
                         && matches!(graph.task(t).kind, TaskKind::Barrier)
                         && deps_met(&done, t)
                     {
-                        done[t] = true;
-                        done_count += 1;
+                        retire(t, &mut done, &mut done_count, &mut program);
                         plan.barriers += 1;
-                        mark_done(&mut program, t);
                         settled = true;
                     }
                 }
@@ -218,39 +213,13 @@ impl Simulation {
                 })
                 .collect();
 
-            // 2. Synchronous fast path: a lone ready GEMM with nothing
-            // else to do or wait for — the sequential drivers' shape.
-            if in_flight.is_empty() && ready_cpu.is_empty() && ready_gemms.len() == 1 {
-                let t = ready_gemms[0];
-                let TaskKind::Gemm(spec) = graph.task(t).kind else {
-                    unreachable!("ready_gemms holds GEMMs");
-                };
-                let dev = match graph.task(t).affinity {
-                    Affinity::Pinned(d) => d,
-                    Affinity::AnyAccel => 0,
-                };
-                let cookie = draw_cookie();
-                jobs.push((dev, self.layout_job(&spec, cookie, dev, functional)));
-                program.push(CpuOp::Mark {
-                    label: format!("gemm:{}", graph.task(t).name),
-                });
-                program.push(CpuOp::LaunchJob {
-                    doorbell_addr: self.device(dev).doorbell,
-                    job_cookie: cookie,
-                });
-                plan.launches += 1;
-                plan.sync_launches += 1;
-                issued[t] = true;
-                done[t] = true;
-                done_count += 1;
-                // LaunchJob blocks until the MSI: retired right here.
-                mark_done(&mut program, t);
-                continue;
-            }
-
+            // 2. Issue every ready GEMM that can get an idle eligible
+            // device, in task-id order. A lone ready GEMM with nothing
+            // else to do or wait for — the sequential drivers' shape —
+            // issues as a blocking LaunchJob; with nothing in flight
+            // every device is idle, so it lands on its pin or device 0.
+            let sync = in_flight.is_empty() && ready_cpu.is_empty() && ready_gemms.len() == 1;
             let mut advanced = false;
-            // 3. Issue every ready GEMM that can get an idle eligible
-            // device, in task-id order.
             for &t in &ready_gemms {
                 let TaskKind::Gemm(spec) = graph.task(t).kind else {
                     unreachable!("ready_gemms holds GEMMs");
@@ -263,26 +232,35 @@ impl Simulation {
                     continue; // no idle eligible device: stays pending
                 };
                 let cookie = draw_cookie();
-                jobs.push((dev, self.layout_job(&spec, cookie, dev, functional)));
+                jobs.push((dev, self.layout_job(&spec, cookie, dev)));
                 program.push(CpuOp::Mark {
                     label: format!("gemm:{}", graph.task(t).name),
                 });
-                program.push(CpuOp::LaunchAsync {
-                    doorbell_addr: self.device(dev).doorbell,
-                });
+                let doorbell_addr = self.device(dev).doorbell;
+                issued[t] = true;
+                plan.launches += 1;
+                advanced = true;
+                if sync {
+                    program.push(CpuOp::LaunchJob {
+                        doorbell_addr,
+                        job_cookie: cookie,
+                    });
+                    plan.sync_launches += 1;
+                    // LaunchJob blocks until the MSI: retired right here.
+                    retire(t, &mut done, &mut done_count, &mut program);
+                    continue;
+                }
+                program.push(CpuOp::LaunchAsync { doorbell_addr });
                 busy[dev] = true;
                 in_flight.push(InFlight {
                     task: t,
                     cookie,
                     device: dev,
                 });
-                issued[t] = true;
-                plan.launches += 1;
                 plan.async_launches += 1;
                 plan.max_in_flight = plan.max_in_flight.max(in_flight.len());
-                advanced = true;
             }
-            // 4. Run every ready CPU task inline: these stream while the
+            // 3. Run every ready CPU task inline: these stream while the
             // jobs issued above are in flight.
             for &t in &ready_cpu {
                 let task = graph.task(t);
@@ -342,17 +320,15 @@ impl Simulation {
                 });
                 read_cursor += rb;
                 write_cursor += wb;
-                done[t] = true;
-                done_count += 1;
                 // Stream ops block the CPU: retired when they return.
-                mark_done(&mut program, t);
+                retire(t, &mut done, &mut done_count, &mut program);
                 advanced = true;
             }
             if advanced {
                 continue;
             }
 
-            // 5. Blocked: pick a wait set. When the smallest-id blocked
+            // 4. Blocked: pick a wait set. When the smallest-id blocked
             // task needs *everything* in flight (a join), one WaitAll
             // over all cookies reproduces the old fork-join drivers.
             // Otherwise drain the earliest-issued cookie only (FIFO):
@@ -402,30 +378,18 @@ impl Simulation {
             for &i in waiting.iter().rev() {
                 let f = in_flight.remove(i);
                 busy[f.device] = false;
-                done[f.task] = true;
-                done_count += 1;
                 retired.push(f.task);
             }
-            // The whole wait set retires at the WaitAll's return; marks
-            // go out in task-id order so the timeline is deterministic.
+            // The whole wait set retires at the WaitAll's return, in
+            // task-id order so the mark timeline is deterministic.
             retired.sort_unstable();
             for t in retired {
-                mark_done(&mut program, t);
+                retire(t, &mut done, &mut done_count, &mut program);
             }
         }
-
-        // Drain any in-flight jobs nothing depended on.
-        if !in_flight.is_empty() {
-            program.push(CpuOp::WaitAll {
-                cookies: in_flight.iter().map(|f| f.cookie).collect(),
-            });
-            plan.waits += 1;
-            let mut retired: Vec<TaskId> = in_flight.iter().map(|f| f.task).collect();
-            retired.sort_unstable();
-            for t in retired {
-                mark_done(&mut program, t);
-            }
-        }
+        // A task leaves `in_flight` only as it retires, and the loop
+        // ends only once every task has: nothing is left to drain.
+        debug_assert!(in_flight.is_empty(), "in-flight jobs outlived the graph");
         Ok(CompiledGraph {
             program,
             jobs,
@@ -457,7 +421,7 @@ impl Simulation {
         &mut self,
         graph: &TaskGraph,
     ) -> Result<(VitReport, DispatchPlan), RunError> {
-        let compiled = self.compile_graph(graph, self.config().functional)?;
+        let compiled = self.compile_graph(graph)?;
         let plan = compiled.plan;
         let before = self.record_marks();
         let round = self.run_compiled(compiled)?;
@@ -482,7 +446,7 @@ impl Simulation {
     ///
     /// As [`Simulation::run_graph`].
     pub fn run_graph_gemm(&mut self, graph: &TaskGraph) -> Result<RunReport, RunError> {
-        let compiled = self.compile_graph(graph, self.config().functional)?;
+        let compiled = self.compile_graph(graph)?;
         self.run_compiled_gemm(compiled)
     }
 
@@ -500,14 +464,6 @@ impl Simulation {
             smmu: self.smmu_stats(),
             stats: self.stats(),
         })
-    }
-
-    /// Compile `graph` (operands attached as `cfg.functional` says) and
-    /// run it: the dispatch core under [`Simulation::run_stream`] and
-    /// [`GraphSession::extend`].
-    pub(crate) fn dispatch_graph(&mut self, graph: &TaskGraph) -> Result<SessionRound, RunError> {
-        let compiled = self.compile_graph(graph, self.config().functional)?;
-        self.run_compiled(compiled)
     }
 
     /// Enqueue `compiled`'s jobs, run its CPU program to the end and
@@ -616,7 +572,8 @@ impl GraphSession<'_> {
     /// Panics if the kernel clock ran backwards between rounds — a
     /// broken invariant, not an input error.
     pub fn extend(&mut self, graph: &TaskGraph) -> Result<SessionRound, RunError> {
-        let run = self.sim.dispatch_graph(graph)?;
+        let compiled = self.sim.compile_graph(graph)?;
+        let run = self.sim.run_compiled(compiled)?;
         assert!(
             run.start >= self.last_end,
             "graph session clock ran backwards: round {} started at {} before the previous end {}",
@@ -695,6 +652,19 @@ mod tests {
         )
     }
 
+    /// A one-task graph: a CPU stream of `read_bytes` in, `write_bytes`
+    /// out, from the base of the activation windows.
+    fn stream_graph(read_bytes: u64, write_bytes: u64) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let kind = TaskKind::Stream {
+            read_bytes,
+            write_bytes,
+            flops: 0,
+        };
+        g.add("stream", kind, Affinity::AnyAccel, vec![]);
+        g
+    }
+
     #[test]
     fn invalid_graphs_are_rejected_before_any_event() {
         let mut sim = Simulation::new(SystemConfig::paper_baseline()).unwrap();
@@ -744,7 +714,7 @@ mod tests {
                 deps,
             ));
         }
-        let compiled = sim.compile_graph(&g, false).unwrap();
+        let compiled = sim.compile_graph(&g).unwrap();
         let mut streams = 0;
         for op in &compiled.program {
             if let CpuOp::Stream {
@@ -793,9 +763,9 @@ mod tests {
             "got {err}"
         );
         assert_eq!(sim.kernel().now(), 0, "rejected before any event");
-        // The single-stream entry point is bounds-checked the same way.
+        // The write side is bounds-checked the same way.
         let err = sim
-            .run_stream(0, crate::addrmap::ACT_SPLIT + 1, 0)
+            .run_graph(&stream_graph(0, crate::addrmap::ACT_SPLIT + 1))
             .unwrap_err();
         assert!(
             matches!(
@@ -849,7 +819,7 @@ mod tests {
         let sim = Simulation::new(SystemConfig::paper_baseline()).unwrap();
         for model in [VitModel::Large, VitModel::Huge] {
             let ops = accesys_workload::vit_full_ops(model);
-            let compiled = sim.compile_graph(&op_chain(&ops), false).unwrap();
+            let compiled = sim.compile_graph(&op_chain(&ops)).unwrap();
             assert!(!compiled.program.is_empty(), "{model} compiles");
         }
     }
@@ -864,10 +834,13 @@ mod tests {
         let mut sim = Simulation::from_topology(cfg, &spec).unwrap();
         let (_, write_win) = sim.act_windows();
         assert!(write_win.size < crate::addrmap::ACT_SPLIT);
-        let err = sim.run_stream(0, write_win.size + 1, 0).unwrap_err();
+        let err = sim
+            .run_graph(&stream_graph(0, write_win.size + 1))
+            .unwrap_err();
         assert!(matches!(err, RunError::ActWindowOverflow { .. }), "{err}");
         // Within the clamped window it still runs (and over real wires).
-        assert!(sim.run_stream(1 << 20, 1 << 20, 0).unwrap() > 0.0);
+        let report = sim.run_graph(&stream_graph(1 << 20, 1 << 20)).unwrap();
+        assert!(report.total_time_ns() > 0.0);
     }
 
     #[test]
@@ -1128,7 +1101,7 @@ mod tests {
     /// FNV-1a over the `Debug` form of a compile's output: program ops,
     /// job list and plan, byte for byte.
     fn compile_digest(sim: &Simulation, graph: &TaskGraph) -> u64 {
-        let c = sim.compile_graph(graph, false).expect("graph compiles");
+        let c = sim.compile_graph(graph).expect("graph compiles");
         format!("{:?}", (&c.program, &c.jobs, c.plan))
             .bytes()
             .fold(0xcbf2_9ce4_8422_2325, |h, b| {

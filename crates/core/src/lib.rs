@@ -41,9 +41,9 @@
 //! [`accesys_workload::graph::TaskGraph`]s (chains, fork-join shards,
 //! pipelines, tenant mixes) executed by the dependency-driven
 //! dispatcher ([`Simulation::run_graph`]). Every run goes through it:
-//! [`Simulation::run_gemm`] and [`Simulation::run_stream`] dispatch
-//! one-task graphs, and the dispatcher's compiler is the only code that
-//! writes the CPU driver program. The [`analytic`] module
+//! [`Simulation::run_gemm`] dispatches a one-task graph, and the
+//! dispatcher's compiler is the only code that writes the CPU driver
+//! program. The [`analytic`] module
 //! implements the paper's Section V-D workload-composition model
 //! (Fig. 9 thresholds), and [`addrmap`] documents the simulated
 //! physical address map.

@@ -4,15 +4,15 @@
 //! lowers the [`SystemConfig`] to a [`TopologySpec`] and lets the generic
 //! wiring engine instantiate it. CPU programs live in the dispatcher
 //! (`dispatch.rs`), which compiles every workload's task graph — a single
-//! GEMM or stream is a one-task graph — so this module only lowers
-//! workloads to graphs and lays out and enqueues accelerator jobs.
+//! GEMM is a one-task graph — so this module only lowers workloads to
+//! graphs and lays out and enqueues accelerator jobs.
 
 use crate::addrmap;
 use crate::topology::{DeviceHandles, TopologyHandles, TopologySpec};
 use crate::{BuildError, MemoryLocation, RunError, RunReport, SystemConfig, VitReport};
 use accesys_accel::{AccelController, AccelJob, GemmOperands};
 use accesys_interconnect::AddrRange;
-use accesys_sim::{units, Kernel, ModuleId, Stats};
+use accesys_sim::{Kernel, ModuleId, Stats};
 use accesys_smmu::{Smmu, SmmuStats};
 use accesys_workload::graph::{self, Affinity, TaskGraph, TaskKind};
 use accesys_workload::{vit_ops, GemmSpec, VitModel};
@@ -59,8 +59,7 @@ impl Simulation {
     /// Build a system from an explicit topology spec — switch trees
     /// ([`crate::topology::switch_tree`]), heterogeneous endpoints, or a
     /// hand-assembled graph. `cfg` still supplies workload-facing knobs
-    /// (functional mode, activation placement); the wiring comes
-    /// entirely from `spec`.
+    /// (activation placement); the wiring comes entirely from `spec`.
     ///
     /// # Errors
     ///
@@ -153,16 +152,8 @@ impl Simulation {
 
     /// Lay out one GEMM job in device `device`'s configured data window
     /// (each device works in its own slice so concurrent shards never
-    /// alias rows). With `functional` the job carries operands generated
-    /// from `spec`, so the accelerator also computes the product — the
-    /// only place operands are attached.
-    pub(crate) fn layout_job(
-        &self,
-        spec: &GemmSpec,
-        cookie: u64,
-        device: usize,
-        functional: bool,
-    ) -> AccelJob {
+    /// alias rows). The job carries no operands: timing only.
+    pub(crate) fn layout_job(&self, spec: &GemmSpec, cookie: u64, device: usize) -> AccelJob {
         let d = self.device(device);
         let (a_sz, b_sz, _c_sz) =
             d.accel_cfg
@@ -183,16 +174,7 @@ impl Simulation {
             data_target: d.data_target,
             msi_addr: addrmap::MSI.base,
             cookie,
-            functional: functional.then(|| {
-                let (a, b) = spec.generate_operands();
-                Arc::new(GemmOperands::new(
-                    spec.m as usize,
-                    spec.n as usize,
-                    spec.k as usize,
-                    a,
-                    b,
-                ))
-            }),
+            functional: None,
         }
     }
 
@@ -265,15 +247,18 @@ impl Simulation {
     }
 
     /// Run one GEMM and verify the functional result against a golden
-    /// reference (independent of `cfg.functional`).
+    /// reference: the one run whose job carries operands (generated from
+    /// `spec`), so the accelerator also computes the product.
     ///
     /// # Errors
     ///
     /// Returns [`RunError`] as [`Simulation::run_gemm`] does.
     pub fn run_gemm_verified(&mut self, spec: GemmSpec) -> Result<(RunReport, bool), RunError> {
-        let compiled = self.compile_graph(&gemm_job(spec), true)?;
-        let (_, job) = &compiled.jobs[0];
-        let ops = job.functional.clone().expect("operands attached");
+        let mut compiled = self.compile_graph(&gemm_job(spec))?;
+        let (a, b) = spec.generate_operands();
+        let (m, n, k) = (spec.m as usize, spec.n as usize, spec.k as usize);
+        let ops = Arc::new(GemmOperands::new(m, n, k, a, b));
+        compiled.jobs[0].1.functional = Some(Arc::clone(&ops));
         let report = self.run_compiled_gemm(compiled)?;
         let passed = ops.result().is_some_and(|r| r == ops.golden());
         Ok((report, passed))
@@ -329,32 +314,6 @@ impl Simulation {
         )))
     }
 
-    /// Run a single CPU streaming kernel (used by NUMA micro-studies):
-    /// a one-task `Stream` graph named `stream`, from the base of the
-    /// claimed activation windows. Returns its elapsed ns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RunError::ActWindowOverflow`] when the stream would
-    /// walk past the claimed activation windows, or any [`RunError`] if
-    /// the program does not finish.
-    pub fn run_stream(
-        &mut self,
-        read_bytes: u64,
-        write_bytes: u64,
-        flops: u64,
-    ) -> Result<f64, RunError> {
-        let mut g = TaskGraph::new();
-        let kind = TaskKind::Stream {
-            read_bytes,
-            write_bytes,
-            flops,
-        };
-        g.add("stream", kind, Affinity::AnyAccel, vec![]);
-        let round = self.dispatch_graph(&g)?;
-        Ok(units::to_ns(round.end - round.start))
-    }
-
     /// Ids useful for tests and instrumentation: `(cpu, llc, host_mem,
     /// rc, ep0, ctrl0, dma0, membus)`. Non-device entries are looked up
     /// by their canonical preset names and come back as
@@ -392,8 +351,8 @@ impl Simulation {
 }
 
 /// The one-task graph [`Simulation::run_gemm`] dispatches: a GEMM named
-/// `job` pinned to device 0. The compiler issues it on its synchronous
-/// fast path, as `Mark "gemm:job"` then a blocking `LaunchJob`.
+/// `job` pinned to device 0. The compiler issues it as its sync
+/// variant, `Mark "gemm:job"` then a blocking `LaunchJob`.
 fn gemm_job(spec: GemmSpec) -> TaskGraph {
     let mut g = TaskGraph::new();
     g.add("job", TaskKind::Gemm(spec), Affinity::Pinned(0), vec![]);
@@ -608,8 +567,14 @@ mod tests {
         let cfg = SystemConfig::devmem(MemTech::Hbm2);
         let spec = switch_tree(&cfg, &[2]).unwrap();
         let mut sim = Simulation::from_topology(cfg, &spec).unwrap();
-        let ns = sim.run_stream(1 << 20, 1 << 20, 0).unwrap();
-        assert!(ns > 0.0);
+        let mut g = TaskGraph::new();
+        let kind = TaskKind::Stream {
+            read_bytes: 1 << 20,
+            write_bytes: 1 << 20,
+            flops: 0,
+        };
+        g.add("stream", kind, Affinity::AnyAccel, vec![]);
+        assert!(sim.run_graph(&g).unwrap().total_time_ns() > 0.0);
         let report = sim.run_vit_layer(VitModel::Base).unwrap();
         assert!(report.non_gemm_ns() > 0.0);
         // The streams really hit device memory, not host DRAM.

@@ -125,7 +125,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // Any pure chain (each task depending on its predecessor) must
-        // take the synchronous fast path throughout: zero async
+        // issue synchronously (`LaunchJob`) throughout: zero async
         // launches, zero waits — the sequential drivers' program shape.
         let mut rng = Gen(seed);
         let mut g = TaskGraph::new();

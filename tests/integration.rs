@@ -3,6 +3,7 @@
 
 use gem5_accesys::accesys::{AccessMode, Simulation, SystemConfig};
 use gem5_accesys::prelude::*;
+use gem5_accesys::workload::graph::{Affinity, TaskGraph, TaskKind};
 
 fn baseline() -> SystemConfig {
     SystemConfig::paper_baseline()
@@ -101,10 +102,17 @@ fn disabling_the_smmu_removes_walks_and_helps_latency() {
 fn devmem_numa_penalizes_cpu_streams() {
     // The same Non-GEMM stream is much slower when the data lives in
     // device memory (CPU reaches it over PCIe) — the Fig. 8 mechanism.
+    let mut stream = TaskGraph::new();
+    let kind = TaskKind::Stream {
+        read_bytes: 512 << 10,
+        write_bytes: 512 << 10,
+        flops: 0,
+    };
+    stream.add("stream", kind, Affinity::AnyAccel, vec![]);
     let mut host = Simulation::new(SystemConfig::pcie_host(8.0, MemTech::Ddr4)).unwrap();
-    let t_host = host.run_stream(512 << 10, 512 << 10, 0).unwrap();
+    let t_host = host.run_graph(&stream).unwrap().total_time_ns();
     let mut dev = Simulation::new(SystemConfig::devmem(MemTech::Hbm2)).unwrap();
-    let t_dev = dev.run_stream(512 << 10, 512 << 10, 0).unwrap();
+    let t_dev = dev.run_graph(&stream).unwrap().total_time_ns();
     let ratio = t_dev / t_host;
     assert!(
         ratio > 2.0,
