@@ -7,10 +7,10 @@
 //! * LLC coherence point on/off (probe overhead for DC-mode traffic).
 
 use crate::cli::Cli;
-use accesys::{Simulation, SystemConfig};
+use crate::gemm_ns;
+use accesys::SystemConfig;
 use accesys_exp::{Experiment, Grid, Jobs, SweepResult};
 use accesys_mem::MemTech;
-use accesys_workload::GemmSpec;
 
 /// `(parameter, exec_ns)` series of one ablation.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -21,19 +21,12 @@ pub struct Ablation {
     pub points: Vec<(u64, f64)>,
 }
 
-fn exec(cfg: SystemConfig, matrix: u32) -> f64 {
-    let mut sim = Simulation::new(cfg).expect("valid config");
-    sim.run_gemm(GemmSpec::square(matrix))
-        .expect("gemm completes")
-        .total_time_ns()
-}
-
 /// The tag-pool ablation as a declarative experiment.
 pub fn tags_experiment(matrix: u32) -> impl Experiment<Point = u64, Out = f64> {
     Grid::new("ablation.ep.tags", [1u64, 2, 4, 8, 16, 32, 64, 128, 256]).sweep(move |&t| {
         let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4);
         cfg.pcie.ep.tags = t as u32;
-        exec(cfg, matrix)
+        gemm_ns(cfg, matrix)
     })
 }
 
@@ -44,7 +37,7 @@ pub fn tlb_experiment(matrix: u32) -> impl Experiment<Point = u64, Out = f64> {
         if let Some(smmu) = cfg.smmu.as_mut() {
             smmu.tlb_entries = e as u32;
         }
-        exec(cfg, matrix)
+        gemm_ns(cfg, matrix)
     })
 }
 
@@ -56,7 +49,7 @@ pub fn walk_cache_experiment(matrix: u32) -> impl Experiment<Point = u64, Out = 
             smmu.walk_cache_entries = e as u32;
             smmu.tlb_entries = 8; // force walks so the cache matters
         }
-        exec(cfg, matrix)
+        gemm_ns(cfg, matrix)
     })
 }
 
@@ -66,7 +59,7 @@ pub fn coherence_experiment(matrix: u32) -> impl Experiment<Point = u64, Out = f
     Grid::new("ablation.llc.coherent", [0u64, 1]).sweep(move |&on| {
         let mut cfg = SystemConfig::pcie_host(16.0, MemTech::Ddr4);
         cfg.coherent = on != 0;
-        exec(cfg, matrix)
+        gemm_ns(cfg, matrix)
     })
 }
 

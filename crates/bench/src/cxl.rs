@@ -10,11 +10,11 @@
 //! bandwidth-bound.
 
 use crate::cli::Cli;
+use crate::gemm_ns;
 use crate::Scale;
-use accesys::{Simulation, SystemConfig};
+use accesys::SystemConfig;
 use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
-use accesys_workload::GemmSpec;
 
 /// One matrix-size row of the comparison.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -37,13 +37,6 @@ pub fn matrix_sizes(scale: Scale) -> Vec<u32> {
     }
 }
 
-fn time_of(cfg: SystemConfig, matrix: u32) -> f64 {
-    let mut sim = Simulation::new(cfg).expect("valid config");
-    sim.run_gemm(GemmSpec::square(matrix))
-        .expect("gemm completes")
-        .total_time_ns()
-}
-
 /// The comparison as a declarative experiment over matrix sizes; each
 /// point measures CXL, bandwidth-matched PCIe, and the 2 GB/s baseline.
 pub fn experiment(scale: Scale) -> impl Experiment<Point = u32, Out = CxlRow> {
@@ -52,9 +45,9 @@ pub fn experiment(scale: Scale) -> impl Experiment<Point = u32, Out = CxlRow> {
         .payload_bandwidth_gbps();
     Grid::new("cxl", matrix_sizes(scale)).sweep(move |&matrix| CxlRow {
         matrix,
-        cxl_ns: time_of(SystemConfig::cxl_host(8, MemTech::Ddr4), matrix),
-        pcie_equal_ns: time_of(SystemConfig::pcie_host(cxl_bw, MemTech::Ddr4), matrix),
-        pcie_2gb_ns: time_of(SystemConfig::pcie_host(2.0, MemTech::Ddr4), matrix),
+        cxl_ns: gemm_ns(SystemConfig::cxl_host(8, MemTech::Ddr4), matrix),
+        pcie_equal_ns: gemm_ns(SystemConfig::pcie_host(cxl_bw, MemTech::Ddr4), matrix),
+        pcie_2gb_ns: gemm_ns(SystemConfig::pcie_host(2.0, MemTech::Ddr4), matrix),
     })
 }
 

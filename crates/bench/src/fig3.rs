@@ -5,10 +5,9 @@
 
 use crate::cli::Cli;
 use crate::Scale;
-use accesys::{Simulation, SystemConfig};
+use accesys::SystemConfig;
 use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
-use accesys_workload::GemmSpec;
 
 /// Lane counts swept (paper: 2, 4, 8, 16).
 pub const LANES: [u32; 4] = [2, 4, 8, 16];
@@ -36,10 +35,7 @@ pub fn measure(lanes: u32, lane_gbps: f64, matrix: u32) -> f64 {
     cfg.pcie.link.lanes = lanes;
     cfg.pcie.link.lane_gbps = lane_gbps;
     cfg.pcie.link.encoding_efficiency = 0.8; // gen-2-style framing
-    let mut sim = Simulation::new(cfg).expect("valid config");
-    sim.run_gemm(GemmSpec::square(matrix))
-        .expect("gemm completes")
-        .total_time_ns()
+    crate::gemm_ns(cfg, matrix)
 }
 
 /// The figure as a declarative experiment over [`LANES`] × [`LANE_GBPS`].

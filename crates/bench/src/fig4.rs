@@ -5,10 +5,9 @@
 
 use crate::cli::Cli;
 use crate::Scale;
-use accesys::{Simulation, SystemConfig};
+use accesys::SystemConfig;
 use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
-use accesys_workload::GemmSpec;
 
 /// Packet sizes swept (bytes), as in the paper.
 pub const PACKET_SIZES: [u32; 7] = [64, 128, 256, 512, 1024, 2048, 4096];
@@ -61,10 +60,7 @@ pub fn matrix_size(scale: Scale) -> u32 {
 pub fn measure(bandwidth_gbps: f64, packet_bytes: u32, matrix: u32) -> f64 {
     let cfg =
         SystemConfig::pcie_host(bandwidth_gbps, MemTech::Ddr4).with_request_bytes(packet_bytes);
-    let mut sim = Simulation::new(cfg).expect("valid config");
-    sim.run_gemm(GemmSpec::square(matrix))
-        .expect("gemm completes")
-        .total_time_ns()
+    crate::gemm_ns(cfg, matrix)
 }
 
 /// The figure as a declarative experiment over [`BANDWIDTHS`] ×

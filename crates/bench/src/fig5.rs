@@ -4,11 +4,11 @@
 //! configuration reaching ≈78 % of device-side performance.
 
 use crate::cli::Cli;
+use crate::gemm_ns;
 use crate::Scale;
-use accesys::{Simulation, SystemConfig};
+use accesys::SystemConfig;
 use accesys_exp::{Experiment, Grid};
 use accesys_mem::MemTech;
-use accesys_workload::GemmSpec;
 
 /// Memory technologies compared (as in the paper's Fig. 5).
 pub const TECHS: [MemTech; 4] = [
@@ -36,22 +36,15 @@ pub fn matrix_size(scale: Scale) -> u32 {
     scale.pick(256, 1024)
 }
 
-fn run_one(cfg: SystemConfig, matrix: u32) -> f64 {
-    let mut sim = Simulation::new(cfg).expect("valid config");
-    sim.run_gemm(GemmSpec::square(matrix))
-        .expect("gemm completes")
-        .total_time_ns()
-}
-
 /// The figure as a declarative experiment over [`TECHS`]; each point
 /// measures the device-side and both host-side placements.
 pub fn experiment(scale: Scale) -> impl Experiment<Point = MemTech, Out = MemRow> {
     let matrix = matrix_size(scale);
     Grid::new("fig5", TECHS).sweep(move |&tech| MemRow {
         tech,
-        device_ns: run_one(SystemConfig::devmem(tech), matrix),
-        host_2gb_ns: run_one(SystemConfig::pcie_host(2.0, tech), matrix),
-        host_64gb_ns: run_one(SystemConfig::pcie_host(64.0, tech), matrix),
+        device_ns: gemm_ns(SystemConfig::devmem(tech), matrix),
+        host_2gb_ns: gemm_ns(SystemConfig::pcie_host(2.0, tech), matrix),
+        host_64gb_ns: gemm_ns(SystemConfig::pcie_host(64.0, tech), matrix),
     })
 }
 
@@ -98,9 +91,9 @@ mod tests {
     #[test]
     fn device_side_beats_host_side_for_gemm() {
         let matrix = 128;
-        let dev = run_one(SystemConfig::devmem(MemTech::Hbm2), matrix);
-        let host2 = run_one(SystemConfig::pcie_host(2.0, MemTech::Hbm2), matrix);
-        let host64 = run_one(SystemConfig::pcie_host(64.0, MemTech::Hbm2), matrix);
+        let dev = gemm_ns(SystemConfig::devmem(MemTech::Hbm2), matrix);
+        let host2 = gemm_ns(SystemConfig::pcie_host(2.0, MemTech::Hbm2), matrix);
+        let host64 = gemm_ns(SystemConfig::pcie_host(64.0, MemTech::Hbm2), matrix);
         assert!(dev < host2, "device {dev} vs host@2 {host2}");
         assert!(dev <= host64 * 1.05, "device {dev} vs host@64 {host64}");
         // And faster PCIe closes most of the gap.

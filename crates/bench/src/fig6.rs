@@ -5,10 +5,9 @@
 
 use crate::cli::Cli;
 use crate::Scale;
-use accesys::{MemBackendConfig, Simulation, SystemConfig};
+use accesys::{MemBackendConfig, SystemConfig};
 use accesys_exp::{Experiment, Grid};
 use accesys_mem::SimpleMemoryConfig;
-use accesys_workload::GemmSpec;
 
 /// One sweep panel: `(swept value, execution time ns)` points.
 pub type Sweep = Vec<(f64, f64)>;
@@ -36,10 +35,7 @@ fn config(bandwidth_gbps: f64, latency_ns: f64) -> SystemConfig {
 
 /// Measure one point of either sweep.
 pub fn measure(bandwidth_gbps: f64, latency_ns: f64, matrix: u32) -> f64 {
-    let mut sim = Simulation::new(config(bandwidth_gbps, latency_ns)).expect("valid config");
-    sim.run_gemm(GemmSpec::square(matrix))
-        .expect("gemm completes")
-        .total_time_ns()
+    crate::gemm_ns(config(bandwidth_gbps, latency_ns), matrix)
 }
 
 /// Panel (a) as a declarative experiment: bandwidth sweep, latency

@@ -47,8 +47,10 @@ pub mod topo;
 
 pub use scale::Scale;
 
+use accesys::{Simulation, SystemConfig};
 use accesys_exp::cli::Cli;
 use accesys_spec::{Scenario, Spec};
+use accesys_workload::GemmSpec;
 
 /// An experiment driver: prints its table (unless `--json`) and
 /// returns its machine-readable result.
@@ -87,6 +89,15 @@ pub fn run_spec(spec: &Spec, cli: &Cli) -> serde::Value {
         // Host shards of every point share the --jobs threads.
         Scenario::Fleet(sc) => fleet::run_cli_for(sc, cli),
     }
+}
+
+/// Elapsed ns of one square `matrix` GEMM on a fresh system built from
+/// `cfg` ([`Simulation::measure_gemm`]): the single-point measurement
+/// of the one-GEMM figure drivers.
+pub(crate) fn gemm_ns(cfg: SystemConfig, matrix: u32) -> f64 {
+    Simulation::measure_gemm(cfg, GemmSpec::square(matrix))
+        .expect("gemm completes")
+        .total_time_ns()
 }
 
 /// Every experiment `accesys exp` runs, by name, in the order
