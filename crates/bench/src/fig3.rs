@@ -4,6 +4,7 @@
 //! up to ~11× faster than the worst.
 
 use crate::cli::Cli;
+use crate::gemm_ns;
 use crate::Scale;
 use accesys::SystemConfig;
 use accesys_exp::{Experiment, Grid};
@@ -35,7 +36,7 @@ pub fn measure(lanes: u32, lane_gbps: f64, matrix: u32) -> f64 {
     cfg.pcie.link.lanes = lanes;
     cfg.pcie.link.lane_gbps = lane_gbps;
     cfg.pcie.link.encoding_efficiency = 0.8; // gen-2-style framing
-    crate::gemm_ns(cfg, matrix)
+    gemm_ns(cfg, matrix)
 }
 
 /// The figure as a declarative experiment over [`LANES`] × [`LANE_GBPS`].

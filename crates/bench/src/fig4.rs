@@ -4,6 +4,7 @@
 //! packets exhaust per-hop credits and stretch completion round-trips.
 
 use crate::cli::Cli;
+use crate::gemm_ns;
 use crate::Scale;
 use accesys::SystemConfig;
 use accesys_exp::{Experiment, Grid};
@@ -60,7 +61,7 @@ pub fn matrix_size(scale: Scale) -> u32 {
 pub fn measure(bandwidth_gbps: f64, packet_bytes: u32, matrix: u32) -> f64 {
     let cfg =
         SystemConfig::pcie_host(bandwidth_gbps, MemTech::Ddr4).with_request_bytes(packet_bytes);
-    crate::gemm_ns(cfg, matrix)
+    gemm_ns(cfg, matrix)
 }
 
 /// The figure as a declarative experiment over [`BANDWIDTHS`] ×

@@ -4,6 +4,7 @@
 //! total overhead of only ≈5 % across a 1–36 ns latency sweep.
 
 use crate::cli::Cli;
+use crate::gemm_ns;
 use crate::Scale;
 use accesys::{MemBackendConfig, SystemConfig};
 use accesys_exp::{Experiment, Grid};
@@ -35,7 +36,7 @@ fn config(bandwidth_gbps: f64, latency_ns: f64) -> SystemConfig {
 
 /// Measure one point of either sweep.
 pub fn measure(bandwidth_gbps: f64, latency_ns: f64, matrix: u32) -> f64 {
-    crate::gemm_ns(config(bandwidth_gbps, latency_ns), matrix)
+    gemm_ns(config(bandwidth_gbps, latency_ns), matrix)
 }
 
 /// Panel (a) as a declarative experiment: bandwidth sweep, latency
