@@ -1204,6 +1204,404 @@ mod tests {
         assert_eq!(got, want, "compiled programs drifted");
     }
 
+    /// The quadratic compiler, kept as the reference `compile_graph` must
+    /// match: every step rescans all `n` tasks (and their deps) for
+    /// ready barriers, GEMMs and CPU tasks, and for the wait target.
+    fn reference_compile(sim: &Simulation, graph: &TaskGraph) -> Result<CompiledGraph, RunError> {
+        graph
+            .validate(sim.accel_count())
+            .map_err(|e| RunError::InvalidGraph(e.to_string()))?;
+        let n = graph.len();
+        let (read_win, write_win) = sim.act_windows();
+        let read_limit = read_win.base + read_win.size;
+        let write_limit = write_win.base + write_win.size;
+        let mut read_cursor = read_win.base;
+        let mut write_cursor = write_win.base;
+        let mut done = vec![false; n];
+        let mut issued = vec![false; n];
+        let mut done_count = 0usize;
+        let mut busy = vec![false; sim.accel_count()];
+        let mut in_flight: Vec<InFlight> = Vec::new();
+        let mut program: Vec<CpuOp> = Vec::new();
+        let mut jobs: Vec<(usize, AccelJob)> = Vec::new();
+        // Cookies are drawn from a local counter and committed to the
+        // simulation only on success, so a failed compile consumes none
+        // (cookie `i` of the simulation's run is `i % 1000`).
+        let cookie_base = sim.peek_cookie();
+        let mut next_cookie = 0u64;
+        let mut draw_cookie = move || {
+            let c = (cookie_base + next_cookie) % 1000;
+            next_cookie += 1;
+            c
+        };
+        let mut plan = DispatchPlan {
+            tasks: n,
+            ..DispatchPlan::default()
+        };
+        let deps_met = |done: &[bool], t: TaskId| graph.task(t).deps.iter().all(|&d| done[d]);
+        // The host retires `t` at this program position. Completion-
+        // labeled tasks get a `done:<label>` mark there, so the mark
+        // timeline carries absolute completion ticks. Unlabeled graphs
+        // emit nothing — their programs stay byte-identical.
+        let retire = |t: TaskId, done: &mut [bool], count: &mut usize, program: &mut Vec<CpuOp>| {
+            done[t] = true;
+            *count += 1;
+            if let Some(label) = &graph.task(t).completion {
+                program.push(CpuOp::Mark {
+                    label: format!("done:{label}"),
+                });
+            }
+        };
+
+        while done_count < n {
+            // 1. Settle ready barriers to fixpoint (zero-cost joins).
+            let mut settled = true;
+            while settled {
+                settled = false;
+                for t in 0..n {
+                    if !done[t]
+                        && matches!(graph.task(t).kind, TaskKind::Barrier)
+                        && deps_met(&done, t)
+                    {
+                        retire(t, &mut done, &mut done_count, &mut program);
+                        plan.barriers += 1;
+                        settled = true;
+                    }
+                }
+            }
+            if done_count == n {
+                break;
+            }
+
+            let ready_gemms: Vec<TaskId> = (0..n)
+                .filter(|&t| {
+                    !done[t]
+                        && !issued[t]
+                        && matches!(graph.task(t).kind, TaskKind::Gemm(_))
+                        && deps_met(&done, t)
+                })
+                .collect();
+            let ready_cpu: Vec<TaskId> = (0..n)
+                .filter(|&t| {
+                    !done[t]
+                        && matches!(
+                            graph.task(t).kind,
+                            TaskKind::Stream { .. } | TaskKind::Transfer { .. }
+                        )
+                        && deps_met(&done, t)
+                })
+                .collect();
+
+            // 2. Issue every ready GEMM that can get an idle eligible
+            // device, in task-id order. A lone ready GEMM with nothing
+            // else to do or wait for — the sequential drivers' shape —
+            // issues as a blocking LaunchJob; with nothing in flight
+            // every device is idle, so it lands on its pin or device 0.
+            let sync = in_flight.is_empty() && ready_cpu.is_empty() && ready_gemms.len() == 1;
+            let mut advanced = false;
+            for &t in &ready_gemms {
+                let TaskKind::Gemm(spec) = graph.task(t).kind else {
+                    unreachable!("ready_gemms holds GEMMs");
+                };
+                let dev = match graph.task(t).affinity {
+                    Affinity::Pinned(d) => (!busy[d]).then_some(d),
+                    Affinity::AnyAccel => busy.iter().position(|&b| !b),
+                };
+                let Some(dev) = dev else {
+                    continue; // no idle eligible device: stays pending
+                };
+                let cookie = draw_cookie();
+                jobs.push((dev, sim.layout_job(&spec, cookie, dev)));
+                program.push(CpuOp::Mark {
+                    label: format!("gemm:{}", graph.task(t).name),
+                });
+                let doorbell_addr = sim.device(dev).doorbell;
+                issued[t] = true;
+                plan.launches += 1;
+                advanced = true;
+                if sync {
+                    program.push(CpuOp::LaunchJob {
+                        doorbell_addr,
+                        job_cookie: cookie,
+                    });
+                    plan.sync_launches += 1;
+                    // LaunchJob blocks until the MSI: retired right here.
+                    retire(t, &mut done, &mut done_count, &mut program);
+                    continue;
+                }
+                program.push(CpuOp::LaunchAsync { doorbell_addr });
+                busy[dev] = true;
+                in_flight.push(InFlight {
+                    task: t,
+                    cookie,
+                    device: dev,
+                });
+                plan.async_launches += 1;
+                plan.max_in_flight = plan.max_in_flight.max(in_flight.len());
+            }
+            // 3. Run every ready CPU task inline: these stream while the
+            // jobs issued above are in flight.
+            for &t in &ready_cpu {
+                let task = graph.task(t);
+                let (label, rb, wb, flops) = match task.kind {
+                    TaskKind::Stream {
+                        read_bytes,
+                        write_bytes,
+                        flops,
+                    } => {
+                        plan.streams += 1;
+                        (
+                            format!("nongemm:{}", task.name),
+                            read_bytes,
+                            write_bytes,
+                            flops,
+                        )
+                    }
+                    TaskKind::Transfer { bytes } => {
+                        plan.transfers += 1;
+                        (format!("xfer:{}", task.name), bytes, bytes, 0)
+                    }
+                    _ => unreachable!("ready_cpu holds Stream/Transfer"),
+                };
+                // Activation buffers are transient: when the next task
+                // would not fit, its cursor wraps to the window base
+                // (buffer reuse), so long op lists stay inside the
+                // claimed window instead of silently walking out of it.
+                // A single task bigger than the whole window can never
+                // fit and is a typed error.
+                if rb > read_win.size {
+                    return Err(RunError::ActWindowOverflow {
+                        window: "read",
+                        needed_end: read_win.base + rb,
+                        limit: read_limit,
+                    });
+                }
+                if wb > write_win.size {
+                    return Err(RunError::ActWindowOverflow {
+                        window: "write",
+                        needed_end: write_win.base + wb,
+                        limit: write_limit,
+                    });
+                }
+                if read_cursor + rb > read_limit {
+                    read_cursor = read_win.base;
+                }
+                if write_cursor + wb > write_limit {
+                    write_cursor = write_win.base;
+                }
+                program.push(CpuOp::Mark { label });
+                program.push(CpuOp::Stream {
+                    read_bytes: rb,
+                    write_bytes: wb,
+                    flops,
+                    read_addr: read_cursor,
+                    write_addr: write_cursor,
+                });
+                read_cursor += rb;
+                write_cursor += wb;
+                // Stream ops block the CPU: retired when they return.
+                retire(t, &mut done, &mut done_count, &mut program);
+                advanced = true;
+            }
+            if advanced {
+                continue;
+            }
+
+            // 4. Blocked: pick a wait set. When the smallest-id blocked
+            // task needs *everything* in flight (a join), one WaitAll
+            // over all cookies reproduces the old fork-join drivers.
+            // Otherwise drain the earliest-issued cookie only (FIFO):
+            // launch order approximates completion order, so the CPU
+            // wakes as early as possible and re-issues freshly ready
+            // work — this is what keeps independent pipelines advancing
+            // instead of one chain starving the others.
+            let target = (0..n).find(|&t| {
+                !done[t]
+                    && !issued[t]
+                    && graph.task(t).deps.iter().any(|&d| !done[d])
+                    && graph
+                        .task(t)
+                        .deps
+                        .iter()
+                        .all(|&d| done[d] || in_flight.iter().any(|f| f.task == d))
+            });
+            let waiting: Vec<usize> = match target {
+                Some(t) => {
+                    let dep_set: Vec<usize> = in_flight
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, f)| graph.task(t).deps.contains(&f.task))
+                        .map(|(i, _)| i)
+                        .collect();
+                    if dep_set.len() == in_flight.len() {
+                        dep_set
+                    } else {
+                        vec![0]
+                    }
+                }
+                None => (0..in_flight.len()).collect(),
+            };
+            if waiting.is_empty() {
+                // Validation excludes cycles and bad pins, so a block
+                // with nothing in flight cannot happen; guard anyway so
+                // a future bug errors instead of spinning forever.
+                return Err(RunError::InvalidGraph(
+                    "dispatcher deadlock: tasks remain but nothing is in flight".into(),
+                ));
+            }
+            program.push(CpuOp::WaitAll {
+                cookies: waiting.iter().map(|&i| in_flight[i].cookie).collect(),
+            });
+            plan.waits += 1;
+            let mut retired: Vec<TaskId> = Vec::with_capacity(waiting.len());
+            for &i in waiting.iter().rev() {
+                let f = in_flight.remove(i);
+                busy[f.device] = false;
+                retired.push(f.task);
+            }
+            // The whole wait set retires at the WaitAll's return, in
+            // task-id order so the mark timeline is deterministic.
+            retired.sort_unstable();
+            for t in retired {
+                retire(t, &mut done, &mut done_count, &mut program);
+            }
+        }
+        // A task leaves `in_flight` only as it retires, and the loop
+        // ends only once every task has: nothing is left to drain.
+        debug_assert!(in_flight.is_empty(), "in-flight jobs outlived the graph");
+        Ok(CompiledGraph {
+            program,
+            jobs,
+            plan,
+        })
+    }
+
+    /// A random DAG from `seed`: `tasks` tasks for `devices` devices,
+    /// mixing pinned and any-device GEMMs, streams, transfers and
+    /// barriers. Each task depends on up to three tasks earlier in a
+    /// topological order (nearby or anywhere, duplicates allowed). That
+    /// order is task-id order with a few random swaps, so some edges
+    /// point to higher ids. About a quarter of the tasks carry a
+    /// completion label; one in 500 streams more than any activation
+    /// window holds.
+    fn random_dag(seed: u64, tasks: usize, devices: usize) -> TaskGraph {
+        let mut state = seed;
+        // splitmix64, reduced to `0..bound`.
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let bytes = |r: usize| 64 * (1 + r as u64);
+        let mut g = TaskGraph::new();
+        for t in 0..tasks {
+            let kind = match next(10) {
+                0..=4 => TaskKind::Gemm(GemmSpec::square(16 << next(3))),
+                5 | 6 if next(500) == 0 => TaskKind::Stream {
+                    read_bytes: 1 << 50,
+                    write_bytes: 64,
+                    flops: 0,
+                },
+                5 | 6 => TaskKind::Stream {
+                    read_bytes: bytes(next(4096)),
+                    write_bytes: bytes(next(4096)),
+                    flops: next(10_000) as u64,
+                },
+                7 => TaskKind::Transfer {
+                    bytes: bytes(next(4096)),
+                },
+                _ => TaskKind::Barrier,
+            };
+            let affinity = if next(3) == 0 {
+                Affinity::Pinned(next(devices))
+            } else {
+                Affinity::AnyAccel
+            };
+            g.add(format!("t{t}"), kind, affinity, vec![]);
+            if next(4) == 0 {
+                g.set_completion(t, format!("c{t}"));
+            }
+        }
+        let mut order: Vec<TaskId> = (0..tasks).collect();
+        for _ in 0..next(tasks) {
+            order.swap(next(tasks), next(tasks));
+        }
+        for rank in 1..tasks {
+            for _ in 0..next(4) {
+                let dep = if next(2) == 0 {
+                    rank - 1 - next(rank.min(4))
+                } else {
+                    next(rank)
+                };
+                g.add_dep(order[rank], order[dep]);
+            }
+        }
+        g
+    }
+
+    thread_local! {
+        /// One simulation per device count, 1 to 4.
+        static SIMS: Vec<Simulation> = {
+            let mut sims = vec![Simulation::new(SystemConfig::paper_baseline()).unwrap()];
+            sims.extend((2..=4).map(|leaves| tree_sim(&[leaves])));
+            sims
+        };
+    }
+
+    /// The incremental and the reference compiler on the same random
+    /// DAG: identical `(program, jobs, plan)` Debug output, or the same
+    /// error.
+    fn compilers_agree(seed: u64, tasks: usize, devices: usize) -> Result<(), String> {
+        let g = random_dag(seed, tasks, devices);
+        let show = |r: Result<CompiledGraph, RunError>| {
+            r.map(|c| format!("{:?}", (&c.program, &c.jobs, c.plan)))
+        };
+        SIMS.with(|sims| {
+            let sim = &sims[devices - 1];
+            assert_eq!(sim.accel_count(), devices);
+            let (got, want) = (
+                show(sim.compile_graph(&g)),
+                show(reference_compile(sim, &g)),
+            );
+            if got == want {
+                Ok(())
+            } else {
+                Err(format!(
+                    "compilers disagree:\n  got {got:?}\n want {want:?}"
+                ))
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn incremental_compiler_matches_the_reference(
+            seed in proptest::any::<u64>(),
+            tasks in 1usize..40,
+            devices in 1usize..5,
+        ) {
+            compilers_agree(seed, tasks, devices).map_err(proptest::TestCaseError::fail)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4000))]
+        /// Thousands of larger graphs; CI runs it in release with
+        /// `--include-ignored`.
+        #[test]
+        #[ignore = "deep fuzz: run in release with --include-ignored"]
+        fn incremental_compiler_matches_the_reference_deep(
+            seed in proptest::any::<u64>(),
+            tasks in 1usize..400,
+            devices in 1usize..5,
+        ) {
+            compilers_agree(seed, tasks, devices).map_err(proptest::TestCaseError::fail)?;
+        }
+    }
+
     #[test]
     fn graph_session_matches_direct_dispatch() {
         // A session dispatches exactly as direct dispatch: the same
