@@ -12,11 +12,16 @@
 //!
 //! ## Readiness and issue rules (the determinism contract)
 //!
-//! Compilation is a fixed-point loop over the graph; every choice is a
+//! Compilation is a step loop over the graph; every choice is a
 //! deterministic function of the graph and the device count, so the same
 //! graph on the same topology always produces the same program — and
 //! therefore the same simulation, bit for bit, regardless of sweep
-//! worker counts:
+//! worker counts. Readiness is tracked incrementally, as in Kahn's
+//! topological sort: each task's dependents sit in one flat array, each
+//! task counts its dependencies not yet done and those neither done nor
+//! in flight, and ready and waitable tasks sit in id-ordered bitsets, so
+//! a step touches only the tasks whose readiness it changed and a whole
+//! compile costs O(tasks + edges) plus bitset word scans:
 //!
 //! 1. **Barriers** settle the moment their dependencies complete; they
 //!    cost nothing and emit nothing.
@@ -123,6 +128,155 @@ struct InFlight {
     device: usize,
 }
 
+/// A set of task ids as a bitset, scanned in task-id order.
+struct IdSet(Vec<u64>);
+
+impl IdSet {
+    fn new(n: usize) -> Self {
+        IdSet(vec![0; n.div_ceil(64)])
+    }
+
+    fn insert(&mut self, t: TaskId) {
+        self.0[t / 64] |= 1 << (t % 64);
+    }
+
+    fn remove(&mut self, t: TaskId) {
+        self.0[t / 64] &= !(1 << (t % 64));
+    }
+
+    /// The smallest member `>= from`.
+    fn next_from(&self, from: TaskId) -> Option<TaskId> {
+        let mut w = from / 64;
+        let mut bits = self.0.get(w)? & (!0 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.0.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Every member, in id order.
+    fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
+        std::iter::successors(self.next_from(0), |&t| self.next_from(t + 1))
+    }
+}
+
+/// Incremental readiness for [`Simulation::compile_graph`], after
+/// Kahn's topological sort: a retire or launch touches only the
+/// dependents of the task it moves, never the whole graph.
+struct Readiness<'g> {
+    graph: &'g TaskGraph,
+    /// The dependents of task `t` are
+    /// `dependents[offsets[t]..offsets[t + 1]]` (one entry per edge).
+    offsets: Vec<usize>,
+    dependents: Vec<TaskId>,
+    /// Per task: dependency edges not yet done.
+    pending: Vec<usize>,
+    /// Per task: dependency edges neither done nor in flight.
+    unsettled: Vec<usize>,
+    /// Barriers whose dependencies are all done.
+    barriers: IdSet,
+    /// Unissued GEMMs whose dependencies are all done.
+    gemms: IdSet,
+    /// `Stream`/`Transfer` tasks whose dependencies are all done.
+    cpu: IdSet,
+    /// Blocked tasks whose unmet dependencies are all in flight.
+    waitable: IdSet,
+    /// Tasks retired so far.
+    done: usize,
+}
+
+impl<'g> Readiness<'g> {
+    fn new(graph: &'g TaskGraph) -> Self {
+        let n = graph.len();
+        let pending: Vec<usize> = graph.tasks().iter().map(|t| t.deps.len()).collect();
+        // `offsets[d]` first counts `d`'s dependents, then (prefix
+        // summed) marks the end of its range, and is walked back to its
+        // start as the edges fill in.
+        let mut offsets = vec![0; n + 1];
+        for t in graph.tasks() {
+            for &d in &t.deps {
+                offsets[d] += 1;
+            }
+        }
+        let mut end = 0;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut dependents = vec![0; end];
+        for (t, task) in graph.tasks().iter().enumerate() {
+            for &d in &task.deps {
+                offsets[d] -= 1;
+                dependents[offsets[d]] = t;
+            }
+        }
+        let mut r = Readiness {
+            graph,
+            offsets,
+            dependents,
+            unsettled: pending.clone(),
+            pending,
+            barriers: IdSet::new(n),
+            gemms: IdSet::new(n),
+            cpu: IdSet::new(n),
+            waitable: IdSet::new(n),
+            done: 0,
+        };
+        for t in 0..n {
+            if r.pending[t] == 0 {
+                r.make_ready(t);
+            }
+        }
+        r
+    }
+
+    fn make_ready(&mut self, t: TaskId) {
+        match self.graph.task(t).kind {
+            TaskKind::Barrier => self.barriers.insert(t),
+            TaskKind::Gemm(_) => self.gemms.insert(t),
+            TaskKind::Stream { .. } | TaskKind::Transfer { .. } => self.cpu.insert(t),
+        }
+    }
+
+    /// GEMM `t` was issued `LaunchAsync`: it is in flight.
+    fn launched(&mut self, t: TaskId) {
+        for &s in &self.dependents[self.offsets[t]..self.offsets[t + 1]] {
+            self.unsettled[s] -= 1;
+            if self.unsettled[s] == 0 {
+                self.waitable.insert(s);
+            }
+        }
+    }
+
+    /// The host retires `t` at this program position (`was_in_flight`
+    /// if it was [`Readiness::launched`]). Completion-labeled tasks get
+    /// a `done:<label>` mark there, so the mark timeline carries
+    /// absolute completion ticks. Unlabeled graphs emit nothing — their
+    /// programs stay byte-identical.
+    fn retire(&mut self, t: TaskId, was_in_flight: bool, program: &mut Vec<CpuOp>) {
+        self.done += 1;
+        if let Some(label) = &self.graph.task(t).completion {
+            program.push(CpuOp::Mark {
+                label: format!("done:{label}"),
+            });
+        }
+        for i in self.offsets[t]..self.offsets[t + 1] {
+            let s = self.dependents[i];
+            self.pending[s] -= 1;
+            if !was_in_flight {
+                self.unsettled[s] -= 1;
+            }
+            if self.pending[s] == 0 {
+                self.waitable.remove(s);
+                self.make_ready(s);
+            } else if self.unsettled[s] == 0 {
+                self.waitable.insert(s);
+            }
+        }
+    }
+}
+
 impl Simulation {
     /// Compile `graph` into a CPU program + job enqueue list without
     /// touching the kernel or the cookie counter (so a compile error
@@ -138,13 +292,13 @@ impl Simulation {
         let write_limit = write_win.base + write_win.size;
         let mut read_cursor = read_win.base;
         let mut write_cursor = write_win.base;
-        let mut done = vec![false; n];
-        let mut issued = vec![false; n];
-        let mut done_count = 0usize;
+        let mut ready = Readiness::new(graph);
         let mut busy = vec![false; self.accel_count()];
         let mut in_flight: Vec<InFlight> = Vec::new();
         let mut program: Vec<CpuOp> = Vec::new();
         let mut jobs: Vec<(usize, AccelJob)> = Vec::new();
+        let mut ready_gemms: Vec<TaskId> = Vec::new();
+        let mut ready_cpu: Vec<TaskId> = Vec::new();
         // Cookies are drawn from a local counter and committed to the
         // simulation only on success, so a failed compile consumes none
         // (cookie `i` of the simulation's run is `i % 1000`).
@@ -159,59 +313,35 @@ impl Simulation {
             tasks: n,
             ..DispatchPlan::default()
         };
-        let deps_met = |done: &[bool], t: TaskId| graph.task(t).deps.iter().all(|&d| done[d]);
-        // The host retires `t` at this program position. Completion-
-        // labeled tasks get a `done:<label>` mark there, so the mark
-        // timeline carries absolute completion ticks. Unlabeled graphs
-        // emit nothing — their programs stay byte-identical.
-        let retire = |t: TaskId, done: &mut [bool], count: &mut usize, program: &mut Vec<CpuOp>| {
-            done[t] = true;
-            *count += 1;
-            if let Some(label) = &graph.task(t).completion {
-                program.push(CpuOp::Mark {
-                    label: format!("done:{label}"),
-                });
-            }
-        };
 
-        while done_count < n {
-            // 1. Settle ready barriers to fixpoint (zero-cost joins).
-            let mut settled = true;
-            while settled {
-                settled = false;
-                for t in 0..n {
-                    if !done[t]
-                        && matches!(graph.task(t).kind, TaskKind::Barrier)
-                        && deps_met(&done, t)
-                    {
-                        retire(t, &mut done, &mut done_count, &mut program);
+        while ready.done < n {
+            // 1. Settle ready barriers to fixpoint (zero-cost joins), in
+            // id-order passes: a barrier readied by a retire at id `t`
+            // settles in the same pass if its id is above `t`, else in
+            // the next one.
+            let mut from = 0;
+            loop {
+                match ready.barriers.next_from(from) {
+                    Some(t) => {
+                        ready.barriers.remove(t);
+                        ready.retire(t, false, &mut program);
                         plan.barriers += 1;
-                        settled = true;
+                        from = t + 1;
                     }
+                    None if from == 0 => break,
+                    None => from = 0,
                 }
             }
-            if done_count == n {
+            if ready.done == n {
                 break;
             }
 
-            let ready_gemms: Vec<TaskId> = (0..n)
-                .filter(|&t| {
-                    !done[t]
-                        && !issued[t]
-                        && matches!(graph.task(t).kind, TaskKind::Gemm(_))
-                        && deps_met(&done, t)
-                })
-                .collect();
-            let ready_cpu: Vec<TaskId> = (0..n)
-                .filter(|&t| {
-                    !done[t]
-                        && matches!(
-                            graph.task(t).kind,
-                            TaskKind::Stream { .. } | TaskKind::Transfer { .. }
-                        )
-                        && deps_met(&done, t)
-                })
-                .collect();
+            // Snapshots of this step's ready work: tasks readied while
+            // issuing it wait for the next step.
+            ready_gemms.clear();
+            ready_gemms.extend(ready.gemms.iter());
+            ready_cpu.clear();
+            ready_cpu.extend(ready.cpu.iter());
 
             // 2. Issue every ready GEMM that can get an idle eligible
             // device, in task-id order. A lone ready GEMM with nothing
@@ -237,7 +367,7 @@ impl Simulation {
                     label: format!("gemm:{}", graph.task(t).name),
                 });
                 let doorbell_addr = self.device(dev).doorbell;
-                issued[t] = true;
+                ready.gemms.remove(t);
                 plan.launches += 1;
                 advanced = true;
                 if sync {
@@ -247,11 +377,12 @@ impl Simulation {
                     });
                     plan.sync_launches += 1;
                     // LaunchJob blocks until the MSI: retired right here.
-                    retire(t, &mut done, &mut done_count, &mut program);
+                    ready.retire(t, false, &mut program);
                     continue;
                 }
                 program.push(CpuOp::LaunchAsync { doorbell_addr });
                 busy[dev] = true;
+                ready.launched(t);
                 in_flight.push(InFlight {
                     task: t,
                     cookie,
@@ -321,7 +452,8 @@ impl Simulation {
                 read_cursor += rb;
                 write_cursor += wb;
                 // Stream ops block the CPU: retired when they return.
-                retire(t, &mut done, &mut done_count, &mut program);
+                ready.cpu.remove(t);
+                ready.retire(t, false, &mut program);
                 advanced = true;
             }
             if advanced {
@@ -329,40 +461,16 @@ impl Simulation {
             }
 
             // 4. Blocked: pick a wait set. When the smallest-id blocked
-            // task needs *everything* in flight (a join), one WaitAll
-            // over all cookies reproduces the old fork-join drivers.
-            // Otherwise drain the earliest-issued cookie only (FIFO):
-            // launch order approximates completion order, so the CPU
-            // wakes as early as possible and re-issues freshly ready
-            // work — this is what keeps independent pipelines advancing
-            // instead of one chain starving the others.
-            let target = (0..n).find(|&t| {
-                !done[t]
-                    && !issued[t]
-                    && graph.task(t).deps.iter().any(|&d| !done[d])
-                    && graph
-                        .task(t)
-                        .deps
-                        .iter()
-                        .all(|&d| done[d] || in_flight.iter().any(|f| f.task == d))
-            });
-            let waiting: Vec<usize> = match target {
-                Some(t) => {
-                    let dep_set: Vec<usize> = in_flight
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, f)| graph.task(t).deps.contains(&f.task))
-                        .map(|(i, _)| i)
-                        .collect();
-                    if dep_set.len() == in_flight.len() {
-                        dep_set
-                    } else {
-                        vec![0]
-                    }
-                }
-                None => (0..in_flight.len()).collect(),
-            };
-            if waiting.is_empty() {
+            // task whose unmet deps are all in flight needs
+            // *everything* in flight (a join), one WaitAll over all
+            // cookies reproduces the old fork-join drivers. Otherwise
+            // drain the earliest-issued cookie only (FIFO): launch
+            // order approximates completion order, so the CPU wakes as
+            // early as possible and re-issues freshly ready work — this
+            // is what keeps independent pipelines advancing instead of
+            // one chain starving the others. With no such task, drain
+            // everything in flight.
+            if in_flight.is_empty() {
                 // Validation excludes cycles and bad pins, so a block
                 // with nothing in flight cannot happen; guard anyway so
                 // a future bug errors instead of spinning forever.
@@ -370,21 +478,21 @@ impl Simulation {
                     "dispatcher deadlock: tasks remain but nothing is in flight".into(),
                 ));
             }
+            let wait_all = ready.waitable.next_from(0).is_none_or(|t| {
+                let deps = &graph.task(t).deps;
+                in_flight.iter().all(|f| deps.contains(&f.task))
+            });
+            let waiting = if wait_all { in_flight.len() } else { 1 };
             program.push(CpuOp::WaitAll {
-                cookies: waiting.iter().map(|&i| in_flight[i].cookie).collect(),
+                cookies: in_flight[..waiting].iter().map(|f| f.cookie).collect(),
             });
             plan.waits += 1;
-            let mut retired: Vec<TaskId> = Vec::with_capacity(waiting.len());
-            for &i in waiting.iter().rev() {
-                let f = in_flight.remove(i);
-                busy[f.device] = false;
-                retired.push(f.task);
-            }
             // The whole wait set retires at the WaitAll's return, in
             // task-id order so the mark timeline is deterministic.
-            retired.sort_unstable();
-            for t in retired {
-                retire(t, &mut done, &mut done_count, &mut program);
+            in_flight[..waiting].sort_unstable_by_key(|f| f.task);
+            for f in in_flight.drain(..waiting) {
+                busy[f.device] = false;
+                ready.retire(f.task, true, &mut program);
             }
         }
         // A task leaves `in_flight` only as it retires, and the loop
