@@ -57,11 +57,26 @@ impl Histogram {
         }
     }
 
+    /// `floor(log2(value))`, clamped to the buckets. Away from powers of
+    /// two that is the exponent field of the `f64`, read without a libm
+    /// call. Within 2^12 ulps of a power of two a rounded `log2` may land
+    /// on the neighbouring integer, so there the bucket is
+    /// `log2().floor()` itself; an exact power of two has an exact
+    /// `log2`, its exponent.
     fn bucket_of(value: f64) -> usize {
-        if value < 1.0 {
+        const MANTISSA: u64 = (1 << 52) - 1;
+        const NEAR: u64 = 1 << 12;
+        // NaN goes to bucket 0, as `log2(NaN) as usize` does.
+        if value.is_nan() || value < 1.0 {
             return 0;
         }
-        let exp = value.log2().floor() as usize;
+        let bits = value.to_bits();
+        let mantissa = bits & MANTISSA;
+        let exp = if (1..NEAR).contains(&mantissa) || mantissa > MANTISSA - NEAR {
+            value.log2().floor() as usize
+        } else {
+            (bits >> 52) as usize - 1023
+        };
         // Values ≥ 2^63 clamp into the unbounded top bucket.
         exp.min(Self::TOP_BUCKET)
     }
@@ -330,6 +345,63 @@ mod tests {
         let h = Histogram::from_raw(&[(901, 2)], 4.0e19, 2.0e19, 2.0e19);
         assert_eq!(h.count(), 2);
         assert_eq!(h.iter().collect::<Vec<_>>(), vec![((1u64 << 63) as f64, 2)]);
+    }
+
+    #[test]
+    fn bucket_of_is_the_clamped_floor_of_log2() {
+        let want = |v: f64| -> usize {
+            if v < 1.0 {
+                0
+            } else {
+                (v.log2().floor() as usize).min(Histogram::TOP_BUCKET)
+            }
+        };
+        let check = |v: f64| {
+            assert_eq!(
+                Histogram::bucket_of(v),
+                want(v),
+                "{v:e} ({:#x})",
+                v.to_bits()
+            )
+        };
+        // Every 2^k ± 0..5000 ulps: where a rounded log2 can cross an
+        // integer.
+        for k in 0..=63 {
+            let edge = 2f64.powi(k).to_bits();
+            for ulps in 0..5000 {
+                check(f64::from_bits(edge + ulps));
+                check(f64::from_bits(edge - ulps));
+            }
+        }
+        for v in [
+            f64::MAX,
+            f64::INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-310,
+        ] {
+            check(v);
+        }
+        // Random finite values: every other one over the whole exponent
+        // range, the rest in [1, 2^64), the finite buckets' own range.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut finite = 0;
+        while finite < 100_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let v = if finite % 2 == 0 {
+                f64::from_bits(state >> 1)
+            } else {
+                f64::from_bits((1023 + (state >> 58)) << 52 | state & ((1 << 52) - 1))
+            };
+            if v.is_finite() {
+                check(v);
+                finite += 1;
+            }
+        }
     }
 
     #[test]
