@@ -229,18 +229,18 @@ impl CpuComplex {
                 self.marks.push(("end".to_string(), ctx.now()));
                 return;
             }
-            let op = self.program[self.pc].clone();
+            let pc = self.pc;
             self.pc += 1;
-            match op {
+            match &self.program[pc] {
                 CpuOp::Mark { label } => {
-                    self.marks.push((label, ctx.now()));
+                    self.marks.push((label.clone(), ctx.now()));
                     continue;
                 }
-                CpuOp::Delay { ns } => {
+                &CpuOp::Delay { ns } => {
                     ctx.timer(units::ns(ns), TAG_NEXT);
                     return;
                 }
-                CpuOp::LaunchJob {
+                &CpuOp::LaunchJob {
                     doorbell_addr,
                     job_cookie,
                 } => {
@@ -269,7 +269,7 @@ impl CpuComplex {
                     self.wait_started = ctx.now();
                     return;
                 }
-                CpuOp::LaunchAsync { doorbell_addr } => {
+                &CpuOp::LaunchAsync { doorbell_addr } => {
                     self.jobs_launched += 1;
                     let mut db = Packet::request(
                         ctx.alloc_pkt_id(),
@@ -291,7 +291,7 @@ impl CpuComplex {
                 }
                 CpuOp::WaitAll { cookies } => {
                     let mut remaining: std::collections::BTreeSet<u64> =
-                        cookies.into_iter().collect();
+                        cookies.iter().copied().collect();
                     remaining.retain(|c| !self.seen_irqs.remove(c));
                     if remaining.is_empty() {
                         ctx.timer(units::ns(self.cfg.irq_latency_ns), TAG_NEXT);
@@ -301,7 +301,7 @@ impl CpuComplex {
                     self.wait_started = ctx.now();
                     return;
                 }
-                CpuOp::Stream {
+                &CpuOp::Stream {
                     read_bytes,
                     write_bytes,
                     flops,
@@ -331,33 +331,27 @@ impl CpuComplex {
     fn pump_stream(&mut self, ctx: &mut Ctx) {
         let mlp = self.cfg.mlp;
         let line = self.cfg.line_bytes;
-        // Gather the accesses to issue first, then send (borrow split).
-        let mut to_send: Vec<(MemCmd, u64)> = Vec::new();
-        if let State::Stream(st) = &mut self.state {
-            while st.inflight < mlp && (st.read_left > 0 || st.write_left > 0) {
-                let (cmd, addr) = if st.read_left > 0 {
-                    st.read_left -= 1;
-                    let a = st.read_cursor;
-                    st.read_cursor += u64::from(line);
-                    (MemCmd::ReadReq, a)
-                } else {
-                    st.write_left -= 1;
-                    let a = st.write_cursor;
-                    st.write_cursor += u64::from(line);
-                    (MemCmd::WriteReq, a)
-                };
-                st.inflight += 1;
-                to_send.push((cmd, addr));
+        loop {
+            let State::Stream(st) = &mut self.state else {
+                return;
+            };
+            if st.inflight >= mlp || (st.read_left == 0 && st.write_left == 0) {
+                break;
             }
-        } else {
-            return;
-        }
-        for (cmd, addr) in to_send {
-            match cmd {
-                MemCmd::ReadReq => self.lines_read += 1,
-                MemCmd::WriteReq => self.lines_written += 1,
-                _ => {}
-            }
+            st.inflight += 1;
+            let (cmd, addr) = if st.read_left > 0 {
+                st.read_left -= 1;
+                self.lines_read += 1;
+                let a = st.read_cursor;
+                st.read_cursor += u64::from(line);
+                (MemCmd::ReadReq, a)
+            } else {
+                st.write_left -= 1;
+                self.lines_written += 1;
+                let a = st.write_cursor;
+                st.write_cursor += u64::from(line);
+                (MemCmd::WriteReq, a)
+            };
             let mut pkt = Packet::request(ctx.alloc_pkt_id(), cmd, addr, line, ctx.now());
             pkt.stream = streams::CPU;
             pkt.route.push(ctx.self_id());
